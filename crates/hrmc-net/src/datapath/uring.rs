@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use super::Datapath;
 use crate::reactor::{ReactorSession, StatsCells, KICK_TOKEN};
-use crate::socket::{sockaddr_in_of, McastSocket, RxBatch};
+use crate::socket::{rxq_ovfl, sockaddr_in_of, McastSocket, RxBatch, RX_CTRL_WORDS};
 
 /// Submission ring size: a full TX flush (16) per session across a
 /// dispatch burst plus RX reposts fit comfortably; overflow spills to
@@ -85,6 +85,8 @@ struct RxSlot {
     name: libc::sockaddr_in,
     iov: libc::iovec,
     msg: libc::msghdr,
+    /// Control buffer for the socket's `SO_RXQ_OVFL` drop count.
+    ctrl: [u64; RX_CTRL_WORDS],
     /// Socket this slot is posted against or holds data from; -1 free.
     fd: i32,
     /// Payload length filled in from the completion.
@@ -101,6 +103,7 @@ impl RxSlot {
                 iov_len: 0,
             },
             msg: unsafe { std::mem::zeroed() },
+            ctrl: [0; RX_CTRL_WORDS],
             fd: -1,
             len: 0,
         })
@@ -501,6 +504,8 @@ impl UringDatapath {
         slot.msg.msg_namelen = std::mem::size_of::<libc::sockaddr_in>() as libc::socklen_t;
         slot.msg.msg_iov = &mut slot.iov;
         slot.msg.msg_iovlen = 1;
+        slot.msg.msg_control = slot.ctrl.as_mut_ptr() as *mut libc::c_void;
+        slot.msg.msg_controllen = RX_CTRL_WORDS * 8;
         let addr = &slot.msg as *const libc::msghdr as u64;
         self.pending.push_back(sqe(
             libc::IORING_OP_RECVMSG,
@@ -743,7 +748,7 @@ impl Datapath for UringDatapath {
         let n = consumed.len();
         for slot_idx in consumed {
             let slot = &self.rx_slots[slot_idx];
-            rx.push(&slot.buf[..slot.len], slot.name);
+            rx.push(&slot.buf[..slot.len], slot.name, rxq_ovfl(&slot.msg));
             self.rx_repost.push(slot_idx);
         }
         Ok(n)

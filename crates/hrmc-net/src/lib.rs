@@ -45,7 +45,7 @@ pub use reactor::{Reactor, ReactorConfig, ReactorStats, SessionHealth};
 pub use receiver::{HrmcReceiver, ReceiverHandle};
 pub use sender::{HrmcSender, SenderHandle};
 pub use session::{ReceiverBuilder, SenderBuilder, Session};
-pub use socket::McastSocket;
+pub use socket::{McastSocket, SocketBuffers};
 #[cfg(feature = "telemetry")]
 pub use telemetry::Telemetry;
 

@@ -43,7 +43,7 @@ use hrmc_core::{Histogram, MetricsRegistry};
 use parking_lot::Mutex;
 
 use crate::datapath::{make_datapath, Datapath, DatapathKind};
-use crate::socket::{McastSocket, RxBatch, TX_SLOTS};
+use crate::socket::{McastSocket, RxBatch, SocketBuffers, TX_SLOTS};
 use crate::NetError;
 
 /// Sockets per session the token scheme supports (receiver = 2).
@@ -147,25 +147,55 @@ pub struct SessionHealth {
     pub checksum_failures: u64,
     /// Receive-window overflow drops (0 for senders).
     pub overflow_drops: u64,
+    /// Datagrams the kernel dropped because one of this session's socket
+    /// queues was full (`SO_RXQ_OVFL`, summed over its sockets): loss
+    /// the host inflicted, not the network.
+    pub kernel_drops: u64,
+    /// Effective `SO_RCVBUF` of the session's sockets (the smallest, if
+    /// several), as read back from the kernel.
+    pub rcvbuf_bytes: u64,
+    /// Effective `SO_SNDBUF`, likewise.
+    pub sndbuf_bytes: u64,
     /// `true` when the session declared terminal failure.
     pub session_failed: bool,
 }
 
 /// Atomic traffic counters each session embeds; the reactor thread
 /// bumps them on the hot path (relaxed ordering — telemetry reads need
-/// no synchronisation with the data they count).
+/// no synchronisation with the data they count). Also holds the kernel
+/// buffer grant of the session's sockets, fixed at open time.
 #[derive(Debug, Default)]
 pub(crate) struct SessionCounters {
     packets_rx: AtomicU64,
     packets_tx: AtomicU64,
     bytes_rx: AtomicU64,
     bytes_tx: AtomicU64,
+    /// Latest cumulative `SO_RXQ_OVFL` count per socket role.
+    kernel_drops: [AtomicU64; MAX_ROLES as usize],
+    buffers: SocketBuffers,
 }
 
 impl SessionCounters {
-    pub(crate) fn note_rx(&self, packets: u64, bytes: u64) {
+    pub(crate) fn new(buffers: SocketBuffers) -> SessionCounters {
+        SessionCounters {
+            buffers,
+            ..SessionCounters::default()
+        }
+    }
+
+    /// The kernel buffer grant of the session's sockets.
+    pub(crate) fn buffers(&self) -> SocketBuffers {
+        self.buffers
+    }
+
+    /// Count one receive batch on socket `role`; `kernel_drops` is the
+    /// batch's [`RxBatch::kernel_drops`].
+    pub(crate) fn note_rx(&self, role: usize, packets: u64, bytes: u64, kernel_drops: Option<u32>) {
         self.packets_rx.fetch_add(packets, Ordering::Relaxed);
         self.bytes_rx.fetch_add(bytes, Ordering::Relaxed);
+        if let Some(total) = kernel_drops {
+            self.kernel_drops[role].store(u64::from(total), Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn note_tx(&self, bytes: u64) {
@@ -181,6 +211,13 @@ impl SessionCounters {
             packets_tx: self.packets_tx.load(Ordering::Relaxed),
             bytes_rx: self.bytes_rx.load(Ordering::Relaxed),
             bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
+            kernel_drops: self
+                .kernel_drops
+                .iter()
+                .map(|d| d.load(Ordering::Relaxed))
+                .sum(),
+            rcvbuf_bytes: self.buffers.rcvbuf as u64,
+            sndbuf_bytes: self.buffers.sndbuf as u64,
             ..SessionHealth::default()
         }
     }
@@ -826,16 +863,17 @@ pub(crate) fn publish_session_gauges(
     reg: &mut MetricsRegistry,
     sessions: &[Arc<dyn ReactorSession>],
 ) {
+    let healths: Vec<SessionHealth> = sessions.iter().map(|s| s.health()).collect();
     let mut agg = SessionHealth::default();
     let mut failed = 0u64;
-    for s in sessions {
-        let h = s.health();
+    for h in &healths {
         agg.rate_halvings += h.rate_halvings;
         agg.urgent_stops += h.urgent_stops;
         agg.members_ejected += h.members_ejected;
         agg.malformed_packets += h.malformed_packets;
         agg.checksum_failures += h.checksum_failures;
         agg.overflow_drops += h.overflow_drops;
+        agg.kernel_drops += h.kernel_drops;
         failed += u64::from(h.session_failed);
     }
     // Degradation counters summed over live sessions: the live-wire
@@ -847,6 +885,12 @@ pub(crate) fn publish_session_gauges(
     reg.set_gauge("sessions_checksum_failures", agg.checksum_failures);
     reg.set_gauge("sessions_overflow_drops", agg.overflow_drops);
     reg.set_gauge("sessions_failed", failed);
+    // Host-inflicted loss, and the smallest kernel buffers granted (the
+    // socket queue that overflows first; 0 with no live session).
+    reg.set_gauge("sessions_kernel_drops", agg.kernel_drops);
+    let smallest = |f: fn(&SessionHealth) -> u64| healths.iter().map(f).min().unwrap_or(0);
+    reg.set_gauge("sessions_rcvbuf_bytes", smallest(|h| h.rcvbuf_bytes));
+    reg.set_gauge("sessions_sndbuf_bytes", smallest(|h| h.sndbuf_bytes));
     for s in sessions {
         s.publish_metrics(reg);
     }

@@ -18,7 +18,7 @@ use crate::clock::DriverClock;
 use crate::reactor::{
     Fatal, IoBatch, Reactor, ReactorRef, ReactorSession, RxError, SessionCounters, SessionHealth,
 };
-use crate::socket::{McastSocket, RX_SLOTS};
+use crate::socket::{McastSocket, SocketBuffers, RX_SLOTS};
 use crate::NetError;
 
 /// `recvmmsg` batches drained per readiness event before yielding the
@@ -205,7 +205,8 @@ impl ReactorSession for Inner {
                     rx_bytes += bytes.len() as u64;
                     self.ingest(&mut engine, bytes, from, now);
                 }
-                self.counters.note_rx(n as u64, rx_bytes);
+                self.counters
+                    .note_rx(role, n as u64, rx_bytes, io.rx.kernel_drops());
             }
             self.flush(io);
             if n < RX_SLOTS {
@@ -285,6 +286,9 @@ pub(crate) fn join_with(
 ) -> Result<ReceiverHandle, NetError> {
     let socket = McastSocket::receiver(group, interface)?;
     let ucast = McastSocket::sender(group, interface)?;
+    let buffers = socket
+        .prepare(config.rcvbuf, config.sndbuf)?
+        .min(ucast.prepare(config.rcvbuf, config.sndbuf)?);
     let local_port = match ucast.local_addr()? {
         SocketAddr::V4(a) => a.port(),
         SocketAddr::V6(a) => a.port(),
@@ -307,7 +311,7 @@ pub(crate) fn join_with(
         fatal: Mutex::new(None),
         wakeup: Condvar::new(),
         wakeup_lock: Mutex::new(()),
-        counters: SessionCounters::default(),
+        counters: SessionCounters::new(buffers),
     });
     let (id, reactor) = reactor.register(Arc::clone(&inner) as Arc<dyn ReactorSession>)?;
     Ok(ReceiverHandle {
@@ -383,6 +387,12 @@ impl ReceiverHandle {
     /// Snapshot of the engine's counters.
     pub fn stats(&self) -> ReceiverStats {
         self.inner.engine.lock().stats.clone()
+    }
+
+    /// The kernel buffers its sockets were granted (the smaller of the
+    /// group and unicast sockets' read-backs).
+    pub fn socket_buffers(&self) -> SocketBuffers {
+        self.inner.counters.buffers()
     }
 
     /// The flight recorder attached at build time

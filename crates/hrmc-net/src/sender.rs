@@ -19,7 +19,7 @@ use crate::clock::DriverClock;
 use crate::reactor::{
     Fatal, IoBatch, Reactor, ReactorRef, ReactorSession, RxError, SessionCounters, SessionHealth,
 };
-use crate::socket::{McastSocket, RX_SLOTS};
+use crate::socket::{McastSocket, SocketBuffers, RX_SLOTS};
 use crate::NetError;
 
 /// `recvmmsg` batches drained per readiness event before yielding the
@@ -131,7 +131,7 @@ impl ReactorSession for Inner {
         vec![&self.socket]
     }
 
-    fn on_readable(&self, _role: usize, io: &mut IoBatch) -> io::Result<()> {
+    fn on_readable(&self, role: usize, io: &mut IoBatch) -> io::Result<()> {
         for _ in 0..RX_ROUNDS {
             let n = match io.recv(&self.socket) {
                 Ok(n) => n,
@@ -163,7 +163,8 @@ impl ReactorSession for Inner {
                         Err(_) => {}
                     }
                 }
-                self.counters.note_rx(n as u64, rx_bytes);
+                self.counters
+                    .note_rx(role, n as u64, rx_bytes, io.rx.kernel_drops());
             }
             self.flush(io);
             if n < RX_SLOTS {
@@ -235,6 +236,7 @@ pub(crate) fn bind_with(
     reactor: Reactor,
 ) -> Result<SenderHandle, NetError> {
     let socket = McastSocket::sender(group, interface)?;
+    let buffers = socket.prepare(config.rcvbuf, config.sndbuf)?;
     let local_port = match socket.local_addr()? {
         SocketAddr::V4(a) => a.port(),
         SocketAddr::V6(a) => a.port(),
@@ -256,7 +258,7 @@ pub(crate) fn bind_with(
         fatal: Mutex::new(None),
         wakeup: Condvar::new(),
         wakeup_lock: Mutex::new(()),
-        counters: SessionCounters::default(),
+        counters: SessionCounters::new(buffers),
     });
     let (id, reactor) = reactor.register(Arc::clone(&inner) as Arc<dyn ReactorSession>)?;
     Ok(SenderHandle {
@@ -352,6 +354,11 @@ impl SenderHandle {
     /// Snapshot of the engine's counters.
     pub fn stats(&self) -> SenderStats {
         self.inner.engine.lock().stats.clone()
+    }
+
+    /// The kernel buffers its socket was granted.
+    pub fn socket_buffers(&self) -> SocketBuffers {
+        self.inner.counters.buffers()
     }
 
     /// The flight recorder attached at build time

@@ -9,6 +9,13 @@
 //! via [`RxBatch`] (`recvmmsg`) and [`McastSocket::send_batch`]
 //! (`sendmmsg`), the user-space analog of the kernel driver servicing a
 //! softirq queue in one pass.
+//!
+//! Every session socket is also sized to the protocol window
+//! ([`McastSocket::prepare`]): the paper's "per-socket kernel buffer
+//! size" is `ProtocolConfig::rcvbuf`/`sndbuf`, so `SO_RCVBUF`/`SO_SNDBUF`
+//! are set from them and read back, and `SO_RXQ_OVFL` makes every
+//! received datagram carry the socket's cumulative kernel drop count
+//! ([`RxBatch::kernel_drops`]).
 
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
@@ -30,17 +37,8 @@ fn bind_reuse(addr: SocketAddrV4) -> io::Result<UdpSocket> {
         if fd < 0 {
             return Err(io::Error::last_os_error());
         }
-        let one: libc::c_int = 1;
         for opt in [libc::SO_REUSEADDR, libc::SO_REUSEPORT] {
-            if libc::setsockopt(
-                fd,
-                libc::SOL_SOCKET,
-                opt,
-                &one as *const _ as *const libc::c_void,
-                std::mem::size_of::<libc::c_int>() as libc::socklen_t,
-            ) < 0
-            {
-                let e = io::Error::last_os_error();
+            if let Err(e) = set_int_opt(fd, opt, 1) {
                 libc::close(fd);
                 return Err(e);
             }
@@ -67,6 +65,47 @@ fn bind_reuse(addr: SocketAddrV4) -> io::Result<UdpSocket> {
     }
 }
 
+/// A socket's kernel buffer sizes: what was asked for and what the
+/// kernel granted, as read back with `getsockopt`.
+///
+/// Linux doubles a `SO_RCVBUF`/`SO_SNDBUF` request to leave room for its
+/// per-datagram bookkeeping, so a full grant reads back as twice the
+/// request. Less than that means `net.core.rmem_max` (receive) or
+/// `net.core.wmem_max` (send) clamped it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SocketBuffers {
+    /// Requested `SO_RCVBUF` bytes.
+    pub rcvbuf_requested: usize,
+    /// Effective `SO_RCVBUF` bytes.
+    pub rcvbuf: usize,
+    /// Requested `SO_SNDBUF` bytes.
+    pub sndbuf_requested: usize,
+    /// Effective `SO_SNDBUF` bytes.
+    pub sndbuf: usize,
+}
+
+impl SocketBuffers {
+    /// `true` when `net.core.rmem_max` clamped the receive buffer.
+    pub fn rcvbuf_clamped(&self) -> bool {
+        self.rcvbuf < 2 * self.rcvbuf_requested
+    }
+
+    /// `true` when `net.core.wmem_max` clamped the send buffer.
+    pub fn sndbuf_clamped(&self) -> bool {
+        self.sndbuf < 2 * self.sndbuf_requested
+    }
+
+    /// Field-wise minimum of the effective sizes: the binding grant over
+    /// several sockets opened with the same request.
+    pub fn min(self, other: SocketBuffers) -> SocketBuffers {
+        SocketBuffers {
+            rcvbuf: self.rcvbuf.min(other.rcvbuf),
+            sndbuf: self.sndbuf.min(other.sndbuf),
+            ..self
+        }
+    }
+}
+
 impl McastSocket {
     /// A receiver socket: binds the group port with address/port reuse,
     /// joins `group` on `interface`, and enables multicast loopback so
@@ -86,6 +125,26 @@ impl McastSocket {
         sock.set_multicast_ttl_v4(1)?;
         set_multicast_if(&sock, interface)?;
         Ok(McastSocket { inner: sock, group })
+    }
+
+    /// Session-socket setup: request `rcvbuf`/`sndbuf` bytes of kernel
+    /// buffer, enable `SO_RXQ_OVFL` drop counting, and read back what
+    /// the kernel granted. The kernel clamps an oversized request
+    /// silently; the returned effective sizes are the only place the
+    /// clamp shows.
+    #[cfg(unix)]
+    pub fn prepare(&self, rcvbuf: usize, sndbuf: usize) -> io::Result<SocketBuffers> {
+        let fd = self.inner.as_raw_fd();
+        let clamp = |bytes: usize| libc::c_int::try_from(bytes).unwrap_or(libc::c_int::MAX);
+        set_int_opt(fd, libc::SO_RCVBUF, clamp(rcvbuf))?;
+        set_int_opt(fd, libc::SO_SNDBUF, clamp(sndbuf))?;
+        set_int_opt(fd, libc::SO_RXQ_OVFL, 1)?;
+        Ok(SocketBuffers {
+            rcvbuf_requested: rcvbuf,
+            rcvbuf: get_int_opt(fd, libc::SO_RCVBUF)? as usize,
+            sndbuf_requested: sndbuf,
+            sndbuf: get_int_opt(fd, libc::SO_SNDBUF)? as usize,
+        })
     }
 
     /// The group this socket addresses.
@@ -189,6 +248,28 @@ pub const TX_SLOTS: usize = 16;
 /// Per-slot receive buffer: the UDP maximum, so no datagram is ever
 /// truncated regardless of the session's configured segment size.
 const RX_BUF: usize = 64 * 1024;
+/// Per-slot control buffer, in `u64` words (cmsg alignment): room for
+/// the one ancillary item sessions enable, the `SO_RXQ_OVFL` count.
+pub(crate) const RX_CTRL_WORDS: usize =
+    libc::CMSG_SPACE(std::mem::size_of::<u32>() as libc::c_uint) as usize / 8;
+
+/// The socket's cumulative kernel drop count carried by a received
+/// message's `SO_RXQ_OVFL` item. The kernel attaches it only once the
+/// count is nonzero, so `None` means "no drops yet" on a prepared socket.
+pub(crate) fn rxq_ovfl(msg: &libc::msghdr) -> Option<u32> {
+    // SAFETY: `msg` was filled by the kernel; its control fields describe
+    // the slot's control buffer, and the walk stays inside it.
+    unsafe {
+        let mut c = libc::CMSG_FIRSTHDR(msg);
+        while !c.is_null() {
+            if (*c).cmsg_level == libc::SOL_SOCKET && (*c).cmsg_type == libc::SO_RXQ_OVFL {
+                return Some(std::ptr::read_unaligned(libc::CMSG_DATA(c) as *const u32));
+            }
+            c = libc::CMSG_NXTHDR(msg, c);
+        }
+    }
+    None
+}
 
 const EMPTY_SOCKADDR_IN: libc::sockaddr_in = libc::sockaddr_in {
     sin_family: 0,
@@ -231,13 +312,16 @@ pub(crate) fn sockaddr_in_of(addr: SocketAddr) -> io::Result<libc::sockaddr_in> 
 }
 
 /// Reusable `recvmmsg` buffer pool: [`RX_SLOTS`] full-size datagram
-/// buffers plus the per-message source-address storage, allocated once
-/// per reactor and refilled by every [`RxBatch::recv`] call.
+/// buffers plus the per-message source-address and control storage,
+/// allocated once per reactor and refilled by every [`RxBatch::recv`]
+/// call.
 pub struct RxBatch {
     bufs: Vec<Vec<u8>>,
     names: [libc::sockaddr_in; RX_SLOTS],
+    ctrl: [[u64; RX_CTRL_WORDS]; RX_SLOTS],
     lens: [usize; RX_SLOTS],
     count: usize,
+    drops: Option<u32>,
 }
 
 impl RxBatch {
@@ -247,8 +331,10 @@ impl RxBatch {
         RxBatch {
             bufs: (0..RX_SLOTS).map(|_| vec![0u8; RX_BUF]).collect(),
             names: [EMPTY_SOCKADDR_IN; RX_SLOTS],
+            ctrl: [[0; RX_CTRL_WORDS]; RX_SLOTS],
             lens: [0; RX_SLOTS],
             count: 0,
+            drops: None,
         }
     }
 
@@ -258,6 +344,7 @@ impl RxBatch {
     #[cfg(unix)]
     pub fn recv(&mut self, sock: &McastSocket) -> io::Result<usize> {
         self.count = 0;
+        self.drops = None;
         let mut iovs = [EMPTY_IOVEC; RX_SLOTS];
         let mut hdrs = [EMPTY_MMSGHDR; RX_SLOTS];
         for i in 0..RX_SLOTS {
@@ -269,6 +356,8 @@ impl RxBatch {
                 std::mem::size_of::<libc::sockaddr_in>() as libc::socklen_t;
             hdrs[i].msg_hdr.msg_iov = &mut iovs[i];
             hdrs[i].msg_hdr.msg_iovlen = 1;
+            hdrs[i].msg_hdr.msg_control = self.ctrl[i].as_mut_ptr() as *mut libc::c_void;
+            hdrs[i].msg_hdr.msg_controllen = RX_CTRL_WORDS * 8;
         }
         let n = unsafe {
             libc::recvmmsg(
@@ -285,6 +374,7 @@ impl RxBatch {
         let n = n as usize;
         for (len, hdr) in self.lens.iter_mut().zip(hdrs.iter()).take(n) {
             *len = hdr.msg_len as usize;
+            self.drops = rxq_ovfl(&hdr.msg_hdr).or(self.drops);
         }
         self.count = n;
         Ok(n)
@@ -295,13 +385,20 @@ impl RxBatch {
     #[cfg(feature = "uring")]
     pub(crate) fn clear(&mut self) {
         self.count = 0;
+        self.drops = None;
     }
 
-    /// Append one received datagram (payload + raw source address) to
-    /// the batch — the completion-queue analog of a `recvmmsg` slot.
-    /// Returns `false` when the pool is full ([`RX_SLOTS`] datagrams).
+    /// Append one received datagram (payload, raw source address, and
+    /// the `SO_RXQ_OVFL` count its message carried) to the batch — the
+    /// completion-queue analog of a `recvmmsg` slot. Returns `false`
+    /// when the pool is full ([`RX_SLOTS`] datagrams).
     #[cfg(feature = "uring")]
-    pub(crate) fn push(&mut self, payload: &[u8], name: libc::sockaddr_in) -> bool {
+    pub(crate) fn push(
+        &mut self,
+        payload: &[u8],
+        name: libc::sockaddr_in,
+        drops: Option<u32>,
+    ) -> bool {
         if self.count == RX_SLOTS {
             return false;
         }
@@ -310,7 +407,17 @@ impl RxBatch {
         self.names[i] = name;
         self.lens[i] = payload.len();
         self.count += 1;
+        self.drops = drops.or(self.drops);
         true
+    }
+
+    /// The socket's cumulative kernel drop count as of the newest
+    /// datagram in the last batch (`SO_RXQ_OVFL`), or `None` when no
+    /// datagram carried one. The kernel stamps the count when it queues
+    /// a datagram, so drops after the newest queued datagram show up
+    /// with the next one.
+    pub fn kernel_drops(&self) -> Option<u32> {
+        self.drops
     }
 
     /// Number of datagrams the last [`RxBatch::recv`] filled.
@@ -377,6 +484,44 @@ fn send_retrying<F: FnMut() -> io::Result<usize>>(mut send: F) -> io::Result<usi
             }
             other => return other,
         }
+    }
+}
+
+#[cfg(unix)]
+fn set_int_opt(fd: RawFd, opt: libc::c_int, value: libc::c_int) -> io::Result<()> {
+    let rc = unsafe {
+        libc::setsockopt(
+            fd,
+            libc::SOL_SOCKET,
+            opt,
+            &value as *const _ as *const libc::c_void,
+            std::mem::size_of::<libc::c_int>() as libc::socklen_t,
+        )
+    };
+    if rc < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(())
+    }
+}
+
+#[cfg(unix)]
+fn get_int_opt(fd: RawFd, opt: libc::c_int) -> io::Result<libc::c_int> {
+    let mut value: libc::c_int = 0;
+    let mut len = std::mem::size_of::<libc::c_int>() as libc::socklen_t;
+    let rc = unsafe {
+        libc::getsockopt(
+            fd,
+            libc::SOL_SOCKET,
+            opt,
+            &mut value as *mut _ as *mut libc::c_void,
+            &mut len,
+        )
+    };
+    if rc < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(value)
     }
 }
 
@@ -486,6 +631,73 @@ mod tests {
         // Drained: the nonblocking socket now reports WouldBlock.
         let e = batch.recv(&rx).expect_err("queue must be empty");
         assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
+    }
+
+    #[test]
+    fn rxq_ovfl_counts_what_a_tiny_buffer_dropped() {
+        const N: usize = 64;
+        let g = group(46005);
+        let rx = McastSocket::receiver(g, LO).expect("rx");
+        let tx = McastSocket::sender(g, LO).expect("tx");
+        // Far below any rmem_max: granted in full (the kernel raises it
+        // to its minimum), yet a few 1 KB datagrams fill it.
+        let grant = rx.prepare(4096, 4096).expect("prepare");
+        assert!(grant.rcvbuf >= 4096, "{grant:?}");
+        assert!(!grant.rcvbuf_clamped(), "{grant:?}");
+        rx.set_nonblocking(true).unwrap();
+        for _ in 0..N {
+            tx.send_multicast(&[0xa5; 1000]).expect("send");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        // Datagrams queued, and the newest drop count they carried.
+        let drain = || {
+            let mut batch = RxBatch::new();
+            let (mut got, mut drops) = (0, None);
+            loop {
+                match batch.recv(&rx) {
+                    Ok(n) => {
+                        got += n;
+                        drops = batch.kernel_drops().or(drops);
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return (got, drops),
+                    Err(e) => panic!("recvmmsg: {e}"),
+                }
+            }
+        };
+        let (m, _) = drain();
+        assert!(
+            m > 0 && m < N,
+            "the tiny buffer must keep some, drop some: {m}"
+        );
+        // The kernel stamps the count when it queues a datagram, so the
+        // first one queued after the overflow carries all N - M drops.
+        tx.send_multicast(b"probe").expect("send probe");
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(drain(), (1, Some((N - m) as u32)));
+    }
+
+    #[test]
+    fn prepare_reads_back_the_granted_buffers() {
+        const WANT: usize = 512 * 1024;
+        let g = group(46006);
+        let rx = McastSocket::receiver(g, LO).expect("rx");
+        let grant = rx.prepare(WANT, WANT).expect("prepare");
+        assert_eq!(grant.rcvbuf_requested, WANT);
+        assert_eq!(grant.sndbuf_requested, WANT);
+        let rmem_max: Option<usize> = std::fs::read_to_string("/proc/sys/net/core/rmem_max")
+            .ok()
+            .and_then(|s| s.trim().parse().ok());
+        match rmem_max {
+            Some(max) if max >= WANT => {
+                assert!(grant.rcvbuf >= WANT, "{grant:?}");
+                assert!(!grant.rcvbuf_clamped(), "{grant:?}");
+            }
+            // The clamp must show in the read-back, never pass silently.
+            Some(max) => {
+                assert!(grant.rcvbuf_clamped(), "rmem_max {max}: {grant:?}");
+            }
+            None => eprintln!("no /proc/sys/net/core/rmem_max: read-back unchecked"),
+        }
     }
 
     #[test]

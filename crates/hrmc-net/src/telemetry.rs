@@ -257,8 +257,17 @@ impl Shared {
             let _ = write!(
                 out,
                 "{{\"id\":{},\"role\":\"{}\",\"packets_rx\":{},\"packets_tx\":{},\
-                 \"bytes_rx\":{},\"bytes_tx\":{}}}",
-                h.id, h.role, h.packets_rx, h.packets_tx, h.bytes_rx, h.bytes_tx
+                 \"bytes_rx\":{},\"bytes_tx\":{},\"kernel_drops\":{},\
+                 \"rcvbuf_bytes\":{},\"sndbuf_bytes\":{}}}",
+                h.id,
+                h.role,
+                h.packets_rx,
+                h.packets_tx,
+                h.bytes_rx,
+                h.bytes_tx,
+                h.kernel_drops,
+                h.rcvbuf_bytes,
+                h.sndbuf_bytes
             );
         }
         let _ = write!(out, "],\"alerts\":{}", self.alerts_json());

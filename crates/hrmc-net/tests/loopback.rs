@@ -4,10 +4,12 @@
 //! multicast (some CI sandboxes do).
 
 use std::net::{Ipv4Addr, SocketAddrV4};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use hrmc_core::ProtocolConfig;
-use hrmc_net::{McastSocket, Session};
+use hrmc_core::{Event, Micros, ProtocolConfig, ProtocolObserver};
+use hrmc_net::{McastSocket, Reactor, Session, SocketBuffers};
 
 /// A receiver session for `group` with the loopback test config.
 fn receiver(group: SocketAddrV4) -> hrmc_net::ReceiverHandle {
@@ -106,6 +108,113 @@ fn transfer_to_two_receivers_over_loopback() {
         let rstats = t.join().expect("reader panicked");
         assert!(rstats.bytes_delivered >= 300_000);
     }
+}
+
+/// Counts the sender's rate halvings (the engine reports them through
+/// its observer, not its stats).
+#[derive(Clone, Default)]
+struct Halvings(Arc<AtomicU64>);
+
+impl ProtocolObserver for Halvings {
+    fn on_event(&mut self, _now: Micros, ev: &Event) {
+        if matches!(ev, Event::RateHalved { .. }) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// With the socket buffers sized from the protocol window, a clean
+/// loopback transfer on the CLI defaults loses nothing on the host: no
+/// kernel socket drops, hence no NAKs, no retransmissions and no rate
+/// halvings. Before sizing, the default 208 KiB `SO_RCVBUF` overflowed
+/// on every per-jiffy burst.
+#[test]
+fn cli_default_transfer_inflicts_no_loss_of_its_own() {
+    if !multicast_available(46180) {
+        eprintln!("skipping: multicast loopback unavailable");
+        return;
+    }
+    // The `hrmc selftest` configuration: 512 KiB buffers, 20 MiB/s.
+    let mut cfg = ProtocolConfig::hrmc().with_buffer(512 * 1024);
+    cfg.max_rate = 20 * 1024 * 1024;
+    cfg.initial_rtt = 2_000;
+    cfg.anonymous_release_hold = 500_000;
+    // A private reactor: its session list is exactly this test's.
+    let reactor = Reactor::new().expect("reactor");
+    let group = SocketAddrV4::new(Ipv4Addr::new(239, 255, 88, 20), 46181);
+    let receivers: Vec<_> = (0..2)
+        .map(|_| {
+            Session::receiver(group)
+                .interface(LO)
+                .config(cfg.clone())
+                .reactor(reactor.clone())
+                .bind()
+                .expect("join receiver")
+        })
+        .collect();
+    let halvings = Halvings::default();
+    let sender = Session::sender(group)
+        .interface(LO)
+        .config(cfg)
+        .reactor(reactor.clone())
+        .observer(Box::new(halvings.clone()))
+        .bind()
+        .expect("bind sender");
+    let grants: Vec<SocketBuffers> = receivers
+        .iter()
+        .map(|r| r.socket_buffers())
+        .chain([sender.socket_buffers()])
+        .collect();
+    if let Some(g) = grants.iter().find(|g| g.rcvbuf_clamped()) {
+        eprintln!(
+            "skipping: net.core.rmem_max clamped SO_RCVBUF to {} bytes (asked {}); \
+             raise it (sysctl -w net.core.rmem_max=4194304) to run this test",
+            g.rcvbuf, g.rcvbuf_requested
+        );
+        return;
+    }
+
+    let data = pattern(1024 * 1024);
+    let readers: Vec<_> = receivers
+        .into_iter()
+        .map(|r| {
+            let expect = data.clone();
+            std::thread::spawn(move || {
+                let mut got = Vec::with_capacity(expect.len());
+                let mut buf = [0u8; 16 * 1024];
+                loop {
+                    match r.recv(&mut buf, Duration::from_secs(30)) {
+                        Ok(0) => break,
+                        Ok(n) => got.extend_from_slice(&buf[..n]),
+                        Err(e) => panic!("recv failed: {e}"),
+                    }
+                }
+                assert!(got == expect, "stream corrupted");
+                r
+            })
+        })
+        .collect();
+    sender.send(&data).expect("send");
+    let stats = sender
+        .close_and_wait(Duration::from_secs(60))
+        .expect("transfer must complete");
+    // Keep the receivers registered so their counters stay readable.
+    let receivers: Vec<_> = readers
+        .into_iter()
+        .map(|t| t.join().expect("reader panicked"))
+        .collect();
+
+    let health = reactor.session_health();
+    assert_eq!(health.len(), 3, "{health:?}");
+    for h in &health {
+        assert_eq!(h.kernel_drops, 0, "kernel socket drops: {h:?}");
+        assert!(h.rcvbuf_bytes >= 2 * 512 * 1024, "{h:?}");
+    }
+    assert_eq!(stats.retransmissions, 0, "{stats:?}");
+    for r in &receivers {
+        assert_eq!(r.stats().naks_sent, 0, "{:?}", r.stats());
+    }
+    assert_eq!(halvings.0.load(Ordering::Relaxed), 0, "rate halvings");
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //!   reactor must observe `recvmmsg` batches larger than one datagram.
 
 use std::net::{Ipv4Addr, SocketAddrV4};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use hrmc_core::ProtocolConfig;
@@ -47,13 +48,37 @@ fn pattern(seed: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Threads currently alive in this process (Linux: task directories).
+/// The tests in this binary run one at a time: each builds its own
+/// reactor, and a sibling's reactor thread starting or stopping would
+/// otherwise move the thread count under `sixteen_sessions_…`.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Threads this library could have started: those it names `hrmc-*`,
+/// plus any that inherited the calling test thread's name (an unnamed
+/// `std::thread::spawn` from `bind` would). The test harness's own
+/// threads for sibling tests carry their test's name and are not
+/// counted — they come and go on the harness's schedule.
 fn thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
+    let comm = |path: std::path::PathBuf| std::fs::read_to_string(path).unwrap_or_default();
+    let own = comm("/proc/thread-self/comm".into());
+    std::fs::read_dir("/proc/self/task").map_or(0, |tasks| {
+        tasks
+            .filter_map(Result::ok)
+            .map(|t| comm(t.path().join("comm")))
+            .filter(|name| name.starts_with("hrmc-") || *name == own)
+            .count()
+    })
 }
 
 #[test]
 fn sixteen_sessions_share_one_reactor_thread() {
+    let _serial = serial();
     if !multicast_available(48100) {
         eprintln!("skipping: multicast loopback unavailable");
         return;
@@ -176,6 +201,7 @@ fn sixteen_sessions_share_one_reactor_thread() {
 /// than wedging their application threads.
 #[test]
 fn dropping_the_reactor_fails_live_sessions() {
+    let _serial = serial();
     if !multicast_available(48200) {
         eprintln!("skipping: multicast loopback unavailable");
         return;

@@ -1,16 +1,19 @@
 //! Minimal in-tree stand-in for the `libc` crate on Linux.
 //!
 //! Declares exactly the C types, constants, and functions
-//! `hrmc-net` uses: multicast socket setup (`hrmc-net::socket`), the
-//! shared reactor's event loop (`hrmc-net::reactor` — epoll, eventfd,
-//! and the batched `recvmmsg`/`sendmmsg` datagram syscalls), and the
-//! raw io_uring ABI (`hrmc-net::datapath::uring` — setup/enter/register
-//! syscalls, ring mmap offsets, and the SQE/CQE/params layouts).
+//! `hrmc-net` uses: multicast socket setup and kernel buffer sizing
+//! (`hrmc-net::socket`, including the `SO_RXQ_OVFL` control message
+//! each received datagram carries), the shared reactor's event loop
+//! (`hrmc-net::reactor` — epoll, eventfd, and the batched
+//! `recvmmsg`/`sendmmsg` datagram syscalls), and the raw io_uring ABI
+//! (`hrmc-net::datapath::uring` — setup/enter/register syscalls, ring
+//! mmap offsets, and the SQE/CQE/params layouts).
 //! Constant values are the Linux userspace ABI values (identical on
 //! x86-64 and aarch64, except the syscall numbers, which are cfg'd).
 
 #![allow(non_camel_case_types)]
 #![allow(non_upper_case_globals)] // SYS_* syscall numbers match libc's names
+#![allow(non_snake_case)] // CMSG_* helpers match libc's (C macro) names
 
 pub type c_int = i32;
 pub type c_uint = u32;
@@ -29,6 +32,9 @@ pub const SOCK_DGRAM: c_int = 2;
 pub const SOL_SOCKET: c_int = 1;
 pub const SO_REUSEADDR: c_int = 2;
 pub const SO_REUSEPORT: c_int = 15;
+pub const SO_SNDBUF: c_int = 7;
+pub const SO_RCVBUF: c_int = 8;
+pub const SO_RXQ_OVFL: c_int = 40;
 pub const IPPROTO_IP: c_int = 0;
 pub const IP_MULTICAST_IF: c_int = 32;
 
@@ -131,6 +137,67 @@ pub struct msghdr {
     pub msg_control: *mut c_void,
     pub msg_controllen: size_t,
     pub msg_flags: c_int,
+}
+
+/// Ancillary-data header (`struct cmsghdr`, 64-bit Linux layout); the
+/// payload follows at [`CMSG_DATA`].
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct cmsghdr {
+    pub cmsg_len: size_t,
+    pub cmsg_level: c_int,
+    pub cmsg_type: c_int,
+}
+
+const fn cmsg_align(len: usize) -> usize {
+    let a = std::mem::size_of::<size_t>();
+    (len + a - 1) & !(a - 1)
+}
+
+/// Control-buffer bytes one ancillary item of `length` payload bytes
+/// occupies, padding included.
+pub const fn CMSG_SPACE(length: c_uint) -> c_uint {
+    (cmsg_align(length as usize) + cmsg_align(std::mem::size_of::<cmsghdr>())) as c_uint
+}
+
+/// First ancillary item of a received message, or null when it has none.
+///
+/// # Safety
+/// `mhdr` must point to a valid `msghdr` whose control fields describe a
+/// live buffer.
+pub unsafe fn CMSG_FIRSTHDR(mhdr: *const msghdr) -> *mut cmsghdr {
+    if (*mhdr).msg_controllen >= std::mem::size_of::<cmsghdr>() {
+        (*mhdr).msg_control as *mut cmsghdr
+    } else {
+        std::ptr::null_mut()
+    }
+}
+
+/// The ancillary item after `cmsg`, or null at the end of the buffer.
+///
+/// # Safety
+/// `cmsg` must come from [`CMSG_FIRSTHDR`]/`CMSG_NXTHDR` on `mhdr`.
+pub unsafe fn CMSG_NXTHDR(mhdr: *const msghdr, cmsg: *const cmsghdr) -> *mut cmsghdr {
+    if (*cmsg).cmsg_len < std::mem::size_of::<cmsghdr>() {
+        return std::ptr::null_mut();
+    }
+    let next = (cmsg as usize + cmsg_align((*cmsg).cmsg_len)) as *mut cmsghdr;
+    let end = (*mhdr).msg_control as usize + (*mhdr).msg_controllen;
+    if (next as usize) + std::mem::size_of::<cmsghdr>() > end
+        || (next as usize) + cmsg_align((*next).cmsg_len) > end
+    {
+        std::ptr::null_mut()
+    } else {
+        next
+    }
+}
+
+/// Payload of an ancillary item.
+///
+/// # Safety
+/// `cmsg` must point into a live control buffer.
+pub unsafe fn CMSG_DATA(cmsg: *const cmsghdr) -> *mut u8 {
+    (cmsg as *mut u8).add(cmsg_align(std::mem::size_of::<cmsghdr>()))
 }
 
 /// One slot of a `recvmmsg`/`sendmmsg` vector (`struct mmsghdr`).
@@ -270,6 +337,13 @@ extern "C" {
         optval: *const c_void,
         optlen: socklen_t,
     ) -> c_int;
+    pub fn getsockopt(
+        sockfd: c_int,
+        level: c_int,
+        optname: c_int,
+        optval: *mut c_void,
+        optlen: *mut socklen_t,
+    ) -> c_int;
     pub fn close(fd: c_int) -> c_int;
     pub fn read(fd: c_int, buf: *mut c_void, count: size_t) -> ssize_t;
     pub fn write(fd: c_int, buf: *const c_void, count: size_t) -> ssize_t;
@@ -348,6 +422,67 @@ mod tests {
         // mmsghdr pads msg_len out to pointer alignment.
         assert_eq!(std::mem::size_of::<mmsghdr>(), 64);
         assert_eq!(std::mem::size_of::<timespec>(), 16);
+    }
+
+    #[test]
+    fn cmsghdr_layout_matches_64_bit_linux() {
+        assert_eq!(std::mem::size_of::<cmsghdr>(), 16);
+        // One u32 item (the SO_RXQ_OVFL drop count): 16-byte header,
+        // 4-byte payload, padded to 8.
+        assert_eq!(CMSG_SPACE(4), 24);
+        assert_eq!(CMSG_SPACE(8), 24);
+        let hdr = cmsghdr {
+            cmsg_len: 0,
+            cmsg_level: 0,
+            cmsg_type: 0,
+        };
+        assert_eq!(
+            unsafe { CMSG_DATA(&hdr) } as usize - &hdr as *const _ as usize,
+            16
+        );
+    }
+
+    #[test]
+    fn buffer_sizes_read_back_through_getsockopt() {
+        unsafe {
+            let fd = socket(AF_INET, SOCK_DGRAM, 0);
+            assert!(fd >= 0, "socket() failed");
+            for opt in [SO_RCVBUF, SO_SNDBUF] {
+                // 8 KiB is far below any rmem_max/wmem_max, so Linux
+                // grants it in full and reports it doubled.
+                let want: c_int = 8192;
+                let rc = setsockopt(
+                    fd,
+                    SOL_SOCKET,
+                    opt,
+                    &want as *const _ as *const c_void,
+                    std::mem::size_of::<c_int>() as socklen_t,
+                );
+                assert_eq!(rc, 0, "setsockopt: {:?}", std::io::Error::last_os_error());
+                let mut got: c_int = 0;
+                let mut len = std::mem::size_of::<c_int>() as socklen_t;
+                let rc = getsockopt(
+                    fd,
+                    SOL_SOCKET,
+                    opt,
+                    &mut got as *mut _ as *mut c_void,
+                    &mut len,
+                );
+                assert_eq!(rc, 0, "getsockopt: {:?}", std::io::Error::last_os_error());
+                assert_eq!(len as usize, std::mem::size_of::<c_int>());
+                assert_eq!(got, 2 * want);
+            }
+            let one: c_int = 1;
+            let rc = setsockopt(
+                fd,
+                SOL_SOCKET,
+                SO_RXQ_OVFL,
+                &one as *const _ as *const c_void,
+                std::mem::size_of::<c_int>() as socklen_t,
+            );
+            assert_eq!(rc, 0, "SO_RXQ_OVFL: {:?}", std::io::Error::last_os_error());
+            assert_eq!(close(fd), 0);
+        }
     }
 
     #[test]

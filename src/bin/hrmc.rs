@@ -259,7 +259,8 @@ fn usage() -> ! {
          hrmc send <file>  [--group A.B.C.D:port] [--iface ip] [--rate-mbps N]\n            \
                            [--buffer-kb N] [--wait-receivers N] [--fec K]\n  \
          hrmc recv <file>  [--group A.B.C.D:port] [--iface ip] [--buffer-kb N]\n  \
-         hrmc selftest     [--group A.B.C.D:port]\n  \
+         hrmc selftest     [--group A.B.C.D:port] (with --telemetry: serves\n                    \
+                           until stdin closes)\n  \
          hrmc analyze <trace.jsonl> [--json]\n  \
          hrmc top <addr | telemetry.jsonl> [--once] [--refresh ms]\n\n\
          Observability (send/recv/selftest):\n  \
@@ -437,6 +438,32 @@ fn config(opts: &Opts) -> ProtocolConfig {
     c
 }
 
+/// Print the kernel buffers the session sockets were granted (stderr,
+/// beside the `datapath:` line), with a warning naming the sysctl when
+/// the kernel granted less than the protocol window asked for.
+fn report_buffers(b: hrmc::net::SocketBuffers) {
+    eprintln!(
+        "socket buffers: rcvbuf {} KiB, sndbuf {} KiB effective (asked {} / {} KiB; \
+         the kernel reports twice a full grant)",
+        b.rcvbuf / 1024,
+        b.sndbuf / 1024,
+        b.rcvbuf_requested / 1024,
+        b.sndbuf_requested / 1024
+    );
+    for (clamped, what, sysctl) in [
+        (b.rcvbuf_clamped(), "SO_RCVBUF", "net.core.rmem_max"),
+        (b.sndbuf_clamped(), "SO_SNDBUF", "net.core.wmem_max"),
+    ] {
+        if clamped {
+            eprintln!(
+                "warning: the kernel clamped {what} below the protocol window; \
+                 raise {sysctl} (e.g. sysctl -w {sysctl}=4194304) or expect \
+                 self-inflicted socket drops"
+            );
+        }
+    }
+}
+
 fn cmd_send(file: &str, opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
     let mut f = std::fs::File::open(file)?;
     let size = f.metadata()?.len();
@@ -451,6 +478,7 @@ fn cmd_send(file: &str, opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
         b = b.observer(o);
     }
     let sender = b.bind()?;
+    report_buffers(sender.socket_buffers());
     eprintln!(
         "sending {file} ({size} bytes) to {} — waiting for {} receiver(s)...",
         opts.group, opts.wait_receivers
@@ -505,6 +533,7 @@ fn cmd_recv(file: &str, opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
         b = b.observer(o);
     }
     let receiver = b.bind()?;
+    report_buffers(receiver.socket_buffers());
     eprintln!("joined {}; waiting for the stream...", opts.group);
     let mut buf = vec![0u8; 64 * 1024];
     let mut total: u64 = 0;
@@ -561,6 +590,12 @@ fn cmd_selftest(opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
         b = b.observer(o);
     }
     let sender = b.bind()?;
+    report_buffers(
+        receivers
+            .iter()
+            .map(|r| r.socket_buffers())
+            .fold(sender.socket_buffers(), hrmc::net::SocketBuffers::min),
+    );
     let readers: Vec<_> = receivers
         .into_iter()
         .map(|r| {
@@ -576,17 +611,38 @@ fn cmd_selftest(opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
                     }
                 }
                 assert_eq!(got, expect, "stream corrupted");
+                r
             })
         })
         .collect();
     sender.send(&payload)?;
     sender.close_and_wait(Duration::from_secs(120))?;
-    for t in readers {
-        t.join().expect("reader panicked");
-    }
+    // The receivers stay registered until the end, so a telemetry
+    // scrape after the pass line still sees every session's counters.
+    let _receivers: Vec<_> = readers
+        .into_iter()
+        .map(|t| t.join().expect("reader panicked"))
+        .collect();
     eprintln!("selftest passed: both receivers verified 1 MB byte-for-byte");
+    if opts.telemetry.is_some() {
+        serve_until_stdin_eof();
+    }
     obs.finish();
     Ok(())
+}
+
+/// Keep the telemetry endpoint up after the run until stdin reaches
+/// EOF, so a script can scrape the final state without racing the
+/// exit: it holds stdin open (a pipe or fifo) and closes it when done.
+/// A terminal or `/dev/null` stdin returns at once.
+fn serve_until_stdin_eof() {
+    use std::io::IsTerminal;
+    let stdin = std::io::stdin();
+    if stdin.is_terminal() {
+        return;
+    }
+    eprintln!("telemetry: serving until stdin closes");
+    let _ = std::io::copy(&mut stdin.lock(), &mut std::io::sink());
 }
 
 fn cmd_analyze(trace: &str, opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {

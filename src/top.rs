@@ -164,19 +164,25 @@ pub fn render_endpoint_frame(endpoint: &str, body: &Value) -> String {
         if !sessions.is_empty() {
             let _ = writeln!(
                 out,
-                "\n  {:<4} {:<9} {:>12} {:>12} {:>14} {:>14}",
-                "id", "role", "rx pkts", "tx pkts", "rx bytes", "tx bytes"
+                "\n  {:<4} {:<9} {:>12} {:>12} {:>14} {:>14} {:>10} {:>8}",
+                "id", "role", "rx pkts", "tx pkts", "rx bytes", "tx bytes", "rcvbuf", "k-drops"
             );
             for sess in sessions {
+                let field = |k: &str| sess.get(k).and_then(Value::as_u64);
+                // Endpoints predating kernel buffer sizing omit the
+                // last two columns: "-", not a misleading 0.
+                let or_dash = |v: Option<String>| v.unwrap_or_else(|| "-".into());
                 let _ = writeln!(
                     out,
-                    "  {:<4} {:<9} {:>12} {:>12} {:>14} {:>14}",
-                    sess.get("id").and_then(Value::as_u64).unwrap_or(0),
+                    "  {:<4} {:<9} {:>12} {:>12} {:>14} {:>14} {:>10} {:>8}",
+                    field("id").unwrap_or(0),
                     sess.get("role").and_then(Value::as_str).unwrap_or("?"),
-                    sess.get("packets_rx").and_then(Value::as_u64).unwrap_or(0),
-                    sess.get("packets_tx").and_then(Value::as_u64).unwrap_or(0),
-                    sess.get("bytes_rx").and_then(Value::as_u64).unwrap_or(0),
-                    sess.get("bytes_tx").and_then(Value::as_u64).unwrap_or(0),
+                    field("packets_rx").unwrap_or(0),
+                    field("packets_tx").unwrap_or(0),
+                    field("bytes_rx").unwrap_or(0),
+                    field("bytes_tx").unwrap_or(0),
+                    or_dash(field("rcvbuf_bytes").map(|b| format!("{}K", b / 1024))),
+                    or_dash(field("kernel_drops").map(|d| d.to_string())),
                 );
             }
         }
@@ -366,7 +372,8 @@ mod tests {
              \"hists\":{\"reactor_loop_us\":{\"count\":9,\"delta\":4,\"p50\":15,\"p90\":31,\
              \"p99\":63,\"max\":60}}},\
              \"sessions\":[{\"id\":1,\"role\":\"sender\",\"packets_rx\":7,\"packets_tx\":150,\
-             \"bytes_rx\":700,\"bytes_tx\":210000}],\
+             \"bytes_rx\":700,\"bytes_tx\":210000,\"kernel_drops\":3,\
+             \"rcvbuf_bytes\":1048576,\"sndbuf_bytes\":1048576}],\
              \"reactor\":{\"backend\":\"uring\",\"shards\":4,\"sessions\":1,\
              \"syscalls_per_packet\":0.1441,\"loop_p99_us\":63,\
              \"timer_slippage_p99_us\":127,\"idle_cap_ms\":100}}",
@@ -379,6 +386,8 @@ mod tests {
         assert!(frame.contains("loop p99 63µs"));
         assert!(frame.contains("sender"));
         assert!(frame.contains("210000"));
+        assert!(frame.contains("1024K"), "{frame}");
+        assert!(frame.contains("k-drops"), "{frame}");
         assert!(frame.contains("sample #3"));
         assert!(frame.contains("data_packets_sent"));
         assert!(frame.contains("100")); // 50 Δ / 0.5 s = 100/s
