@@ -19,13 +19,20 @@
 //! gated (CI machines vary); the work counters are exact on a fixed
 //! seed, so any growth is a real scheduler regression, not noise.
 //!
-//! The run also times the sharded membership index directly at 1k / 10k
-//! / 100k members (update / `all_have` / `lacking` in the sender's
-//! MINBUF query mix) under a `membership` key. `--check` gates the
-//! deterministic `members_scanned_per_lacking` counter two ways: against
-//! the committed per-population pin (+10%), and for sub-linear growth
-//! across the 1k → 100k sweep (the 100× population may cost at most
-//! 12.5× the scan work; the shard aggregates hold it near 1×).
+//! A second fixed scenario, the `scalability` experiment's lossless
+//! fan-out at 1000 receivers, is pinned under a `fanout_1k` key: its
+//! `events_popped` and `engine_ticks` are gated by the same +10% rule,
+//! so a change to the membership gate or PROBE pacing that moves the
+//! fan-out trajectory shows up here.
+//!
+//! The run also times the membership index directly at 1k / 10k / 100k
+//! members (update / `all_have` / `lacking` in the sender's MINBUF query
+//! mix, plus `lacking` after the crowd drained away from one laggard)
+//! under a `membership` key. `--check` gates the deterministic
+//! `members_scanned_per_lacking` counter two ways: against the committed
+//! per-population pin (+10%), and for sub-linear growth across the
+//! 1k → 100k sweep (the 100× population may cost at most 12.5× the scan
+//! work; the range scan holds it at 1×).
 //!
 //! The run also drives a live multi-session reactor micro-benchmark
 //! (4 sender→receiver pairs over loopback multicast on one shared
@@ -78,6 +85,19 @@ fn run_once(receivers: usize, transfer: u64) -> (SimReport, f64) {
     assert!(report.completed, "scalability scenario must complete");
     assert!(report.all_intact(), "scalability scenario must be reliable");
     (report, wall_ms)
+}
+
+/// Receivers in the pinned fan-out scenario.
+const FANOUT_RECEIVERS: usize = 1_000;
+
+/// The `scalability` experiment's lossless fan-out at
+/// [`FANOUT_RECEIVERS`], reduced to its deterministic scheduler-work
+/// counters: events popped and engine ticks summed over all hosts.
+fn fanout_counters() -> (u64, u64) {
+    let report = hrmc_experiments::fanout_scenario(FANOUT_RECEIVERS, 200_000).run();
+    assert!(report.completed, "fan-out scenario must complete");
+    assert!(report.all_intact(), "fan-out scenario must be reliable");
+    (report.events_popped, report.host_ticks.iter().sum())
 }
 
 const LO: Ipv4Addr = Ipv4Addr::new(127, 0, 0, 1);
@@ -318,24 +338,26 @@ struct MembershipBench {
     update_ns: f64,
     all_have_ns: f64,
     lacking_ns: f64,
-    /// Members touched per `lacking` descent — the release gate's probe
+    /// `lacking` once the crowd has moved far ahead of one laggard: the
+    /// cost must follow the laggard, not the population it once shared
+    /// a sequence range with.
+    lacking_after_drain_ns: f64,
+    /// Members touched per `lacking` call — the release gate's probe
     /// fan-out cost. Deterministic for the fixed workload; flat in `n`
-    /// when the shard aggregates work (only laggard shards are entered).
+    /// because the range scan touches only the laggards.
     members_scanned_per_lacking: f64,
-    heap_lazy_pops: u64,
-    shards: usize,
 }
 
 /// The protocol-shaped hot loop at population `n`: the group marches its
-/// `next_expected` forward one shard span per round (crossing the u32
-/// wrap mid-march) while one laggard trails a round behind — the MINBUF
+/// `next_expected` forward one stride per round (crossing the u32 wrap
+/// mid-march) while one laggard trails a round behind — the MINBUF
 /// regime, where the release gate fails on a small trailing set, `lacking`
-/// names it, the laggard catches up, and the gate passes. The crowd's
-/// shard is skipped by its aggregate bound, so the descent cost tracks
-/// the laggard count, not the population.
+/// names it, the laggard catches up, and the gate passes. The range scan
+/// stops at the gate, so its cost tracks the laggard count, not the
+/// population.
 fn membership_microbench(n: usize) -> MembershipBench {
     const ROUNDS: u32 = 64;
-    const STRIDE: u32 = 64; // one full shard span per round
+    const STRIDE: u32 = 64;
     let base: u32 = u32::MAX - ROUNDS * STRIDE / 2; // cross the wrap mid-march
     let mut m = Membership::new();
     for p in 0..n {
@@ -372,14 +394,31 @@ fn membership_microbench(n: usize) -> MembershipBench {
         assert!(complete, "caught-up group must release");
     }
     let costs = m.costs();
+
+    // The drained crowd: everyone starts together, then all but one
+    // member move 64 strides ahead, leaving one laggard behind.
+    const DRAIN_CALLS: u32 = 2_000;
+    let mut d = Membership::new();
+    for p in 0..n {
+        d.add(PeerId(p as u32), 0, p as u64);
+    }
+    for p in 1..n {
+        d.update(PeerId(p as u32), ROUNDS * STRIDE, (n + p) as u64);
+    }
+    let t0 = Instant::now();
+    for _ in 0..DRAIN_CALLS {
+        d.lacking_into(std::hint::black_box(0), &mut scratch);
+    }
+    let t_drain = t0.elapsed().as_nanos();
+    assert_eq!(scratch, [PeerId(0)], "only the laggard lacks");
+
     MembershipBench {
         n,
         update_ns: t_update as f64 / updates as f64,
         all_have_ns: t_all_have as f64 / (2 * ROUNDS) as f64,
         lacking_ns: t_lacking as f64 / lackings as f64,
+        lacking_after_drain_ns: t_drain as f64 / f64::from(DRAIN_CALLS),
         members_scanned_per_lacking: costs.members_scanned as f64 / lackings as f64,
-        heap_lazy_pops: costs.heap_lazy_pops,
-        shards: m.shard_count(),
     }
 }
 
@@ -388,14 +427,13 @@ const MEMBERSHIP_POPULATIONS: [usize; 3] = [1_000, 10_000, 100_000];
 fn print_membership_row(b: &MembershipBench) {
     println!(
         "bench: membership/{}m  update={:.0} ns  all_have={:.0} ns  lacking={:.0} ns  \
-         scanned/lacking={:.1}  heap_lazy_pops={}  shards={}",
+         lacking_after_drain={:.0} ns  scanned/lacking={:.1}",
         b.n,
         b.update_ns,
         b.all_have_ns,
         b.lacking_ns,
-        b.members_scanned_per_lacking,
-        b.heap_lazy_pops,
-        b.shards
+        b.lacking_after_drain_ns,
+        b.members_scanned_per_lacking
     );
 }
 
@@ -409,19 +447,34 @@ fn baseline_path() -> &'static str {
 fn check_against_baseline() -> ! {
     let (report, wall_ms) = run_once(64, 200_000);
     let ticks_total: u64 = report.host_ticks.iter().sum();
+    let (fanout_events, fanout_ticks) = fanout_counters();
     let body = std::fs::read_to_string(baseline_path())
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", baseline_path()));
     let baseline = serde_json::from_str(&body).expect("BENCH_sim.json must be valid JSON");
-    let base = |key: &str| -> u64 {
-        baseline
-            .get(key)
+    let base = |path: &[&str]| -> u64 {
+        path.iter()
+            .try_fold(&baseline, |v, key| v.get(key))
             .and_then(|v| v.as_u64())
-            .unwrap_or_else(|| panic!("BENCH_sim.json has no numeric `{key}`"))
+            .unwrap_or_else(|| panic!("BENCH_sim.json has no numeric `{}`", path.join("/")))
     };
     let mut failed = false;
     for (name, current, pinned) in [
-        ("events_popped", report.events_popped, base("events_popped")),
-        ("engine_ticks", ticks_total, base("engine_ticks")),
+        (
+            "events_popped",
+            report.events_popped,
+            base(&["events_popped"]),
+        ),
+        ("engine_ticks", ticks_total, base(&["engine_ticks"])),
+        (
+            "fanout_1k/events_popped",
+            fanout_events,
+            base(&["fanout_1k", "events_popped"]),
+        ),
+        (
+            "fanout_1k/engine_ticks",
+            fanout_ticks,
+            base(&["fanout_1k", "engine_ticks"]),
+        ),
     ] {
         // >10% growth over the committed baseline fails the gate.
         let limit = pinned + pinned.div_ceil(10);
@@ -585,6 +638,13 @@ fn main() {
         report.events_popped, report.peak_queue_len, ticks_total, report.elapsed_us
     );
 
+    let fanout = (!smoke).then(fanout_counters);
+    if let Some((events, ticks)) = fanout {
+        println!(
+            "bench: sim/fanout-{FANOUT_RECEIVERS}r  events_popped={events}  engine_ticks={ticks}"
+        );
+    }
+
     let membership: Vec<MembershipBench> = if smoke {
         vec![membership_microbench(1_000)]
     } else {
@@ -641,9 +701,8 @@ fn main() {
                 "update_ns": b.update_ns,
                 "all_have_ns": b.all_have_ns,
                 "lacking_ns": b.lacking_ns,
+                "lacking_after_drain_ns": b.lacking_after_drain_ns,
                 "members_scanned_per_lacking": b.members_scanned_per_lacking,
-                "heap_lazy_pops": b.heap_lazy_pops,
-                "shards": b.shards,
             }),
         );
     }
@@ -662,6 +721,12 @@ fn main() {
         "engine_ticks": ticks_total,
         "sim_elapsed_us": report.elapsed_us,
         "throughput_mbps": report.throughput_mbps,
+        "fanout_1k": fanout.map(|(events, ticks)| serde_json::json!({
+            "receivers": FANOUT_RECEIVERS,
+            "transfer_bytes": 200_000,
+            "events_popped": events,
+            "engine_ticks": ticks,
+        })),
         "membership": membership_json,
         "reactor": reactor.as_ref().map(|r| serde_json::json!({
             "pairs": 4,

@@ -7,42 +7,24 @@
 //! IP address and the sequence number that the receiver is expecting
 //! next."
 //!
-//! The kernel's linked-list-plus-hash idiom collapsed to a single
-//! `HashMap` in the first cut of this crate; that is faithful to the
-//! paper but O(n) for every release-gate check and PROBE-target scan,
-//! which the sender runs several times per jiffy. At the paper's 1–30
-//! receivers that is noise; at the ROADMAP's 10⁵–10⁶ it is the first
-//! scaling wall. This version keeps the flat per-peer record table but
-//! adds a sequence-bucketed index over it:
+//! The hashed list is a `HashMap<PeerId, Member>`. The sender's hot
+//! queries — "what is the group minimum?" (the release gate) and "who is
+//! below this sequence?" (the PROBE targets) — are ordered-set queries,
+//! answered by one `BTreeSet<(key, PeerId)>`:
 //!
-//! * **Shards.** Members are bucketed by the high bits of their
-//!   `next_expected` (`seq >> SHARD_SHIFT`). All members of a shard share
-//!   those high bits exactly, so ordering *within* a shard is plain
-//!   integer order on the low bits — no serial-number arithmetic needed —
-//!   and each shard keeps an exact multiset of its members' low bits in a
-//!   `BTreeMap`, making the shard minimum an O(log) lookup under every
-//!   mutation. Receivers cluster inside the sender's active window, so
-//!   the live shard count stays proportional to the window span (a few
-//!   dozen), not the receiver count.
-//! * **Release-gate heap.** A lazy-deletion min-heap (the same idiom as
-//!   the reactor's deadline heap) over per-shard minima. Every time a
-//!   shard's minimum changes, a fresh entry is pushed; stale entries are
-//!   discarded when they surface at the top. `all_have` and
-//!   `min_next_expected` are therefore heap-peeks — amortized O(log n) —
-//!   instead of full-table walks.
-//! * **Wraparound.** Heap keys must be totally ordered, but serial
-//!   comparison (`seq_lt`) is not a total order over all of `u32`. Keys
-//!   are *virtual sequences*: a `u64` line anchored at the group minimum
-//!   (`vseq(s) = vbase + serial_distance(vbase_seq, s)`), re-anchored at
-//!   the current minimum on every successful peek. All live members sit
-//!   within a serial half-space of the group minimum (they are all inside
-//!   the active window), so every computed key is in range and keys never
-//!   need recomputation — the mapping is a single consistent line.
-//! * **Aggregate bounds.** Each shard carries a conservative lower bound
-//!   on its members' `last_heard` and an upper bound on their
-//!   `probe_failures`. `stale`/`probe_failed` skip shards whose bound
-//!   proves the shard cannot match and re-tighten the bound whenever they
-//!   do descend, so the idle-tick cost is O(shards), not O(members).
+//! * **The key line.** Serial order is not total over `u32`, so each
+//!   member's `next_expected` is lifted to a `u64` key on a line that
+//!   never wraps: a join lands at its serial distance from the group
+//!   minimum's key (from `LINE_ORIGIN` in an empty table), and an advance
+//!   adds the distance travelled; nothing is ever re-anchored. Sound while
+//!   live members sit within a serial half-space of the group minimum,
+//!   which holds because they are all inside the active window.
+//! * **The queries.** `all_have` and `min_next_expected` read the first
+//!   entry; `lacking` is a range scan below the gate's key, touching
+//!   exactly the laggards. `stale` and `probe_failed` are flat passes over
+//!   the member map: only ejection calls them, and only when it is
+//!   enabled, so an index rewritten on every feedback packet would tax the
+//!   common path for a query that is off by default.
 //!
 //! In the original RMC protocol membership is anonymous — the sender
 //! keeps only a count — but the Figure 3(a) experiment instruments RMC
@@ -51,38 +33,22 @@
 //! [`ReliabilityMode`](crate::config::ReliabilityMode) decides whether the
 //! sender consults it.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
-use hrmc_wire::{seq_le, Seq};
+use hrmc_wire::{seq_le, seq_lt, Seq};
 
 use crate::time::Micros;
 use crate::PeerId;
 
-/// Shard width exponent: members whose `next_expected` agree on all but
-/// the low `SHARD_SHIFT` bits share a shard (64-sequence buckets). Wide
-/// enough that a congestion-window's worth of receivers spans a handful
-/// of shards; narrow enough that a gate descent touches few non-matching
-/// members.
-const SHARD_SHIFT: u32 = 6;
+/// Where an empty table starts the key line: far from both ends of
+/// `u64`, so members joining behind the minimum and billions of sequence
+/// wraps ahead of it all stay in range.
+const LINE_ORIGIN: u64 = 1 << 62;
 
-/// Virtual-sequence origin: far from zero so transient undershoot (a
-/// member joining slightly behind the anchor) stays positive.
-const VBASE_ORIGIN: u64 = 1 << 34;
-
-#[inline]
-fn bucket(seq: Seq) -> u32 {
-    seq >> SHARD_SHIFT
-}
-
-#[inline]
-fn low_bits(seq: Seq) -> u32 {
-    seq & ((1 << SHARD_SHIFT) - 1)
-}
-
-#[inline]
-fn shard_seq(bucket: u32, low: u32) -> Seq {
-    (bucket << SHARD_SHIFT) | low
+/// Lift `seq` onto the key line next to `anchor`: the key congruent to
+/// `seq` modulo 2³² that lies within a serial half-space of `anchor`.
+fn lift(anchor: u64, seq: Seq) -> u64 {
+    anchor.wrapping_add_signed(i64::from(seq.wrapping_sub(anchor as Seq) as i32))
 }
 
 /// Per-receiver state kept by the sender — deliberately minimal, matching
@@ -101,73 +67,27 @@ pub struct Member {
     /// whose previous probe is still outstanding counts one failure; any
     /// feedback resets the count. Drives stall ejection.
     pub probe_failures: u32,
-    /// When this receiver joined.
-    pub joined_at: Micros,
+    /// `next_expected` on the key line (see the module docs).
+    key: u64,
 }
 
-/// One sequence bucket: the peers whose `next_expected` currently falls in
-/// it, an exact low-bits multiset (first key = exact shard minimum), and
-/// conservative aggregate bounds for the staleness/probe-failure scans.
-#[derive(Debug, Clone)]
-struct Shard {
-    peers: HashSet<PeerId>,
-    /// `low_bits(next_expected)` → member count. Exact; never stale.
-    by_low: BTreeMap<u32, u32>,
-    /// Lower bound on the members' `last_heard` (feedback only moves
-    /// `last_heard` forward, so the bound stays valid and is re-tightened
-    /// on descent).
-    oldest_last_heard: Micros,
-    /// Upper bound on the members' `probe_failures` (feedback resets the
-    /// member counter to zero, leaving the bound stale-high until the
-    /// next descent re-tightens it).
-    max_probe_failures: u32,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            peers: HashSet::new(),
-            by_low: BTreeMap::new(),
-            oldest_last_heard: Micros::MAX,
-            max_probe_failures: 0,
-        }
-    }
-
-    #[inline]
-    fn min_low(&self) -> Option<u32> {
-        self.by_low.keys().next().copied()
-    }
-}
-
-/// Running cost counters for the sharded index: how much work the
-/// release gate and the PROBE/staleness scans actually did. Exposed so
-/// telemetry can show membership pressure (and so the bench can assert
-/// sub-linear growth).
+/// Running cost counters: how much work the release gate and the
+/// PROBE/staleness scans actually did. Exposed so telemetry can show
+/// membership pressure (and so the bench can assert sub-linear growth).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MembershipCosts {
     /// Release-gate (`all_have`) evaluations.
     pub gate_checks: u64,
-    /// Shards descended into by `lacking`/`stale`/`probe_failed` (shards
-    /// skipped by their aggregate bound are not counted).
-    pub shards_scanned: u64,
-    /// Members touched by those descents.
+    /// Members touched by `lacking`/`stale`/`probe_failed`.
     pub members_scanned: u64,
-    /// Stale heap entries discarded by lazy deletion.
-    pub heap_lazy_pops: u64,
 }
 
 /// The sender's membership table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Membership {
     members: HashMap<PeerId, Member>,
-    shards: HashMap<u32, Shard>,
-    /// Lazy-deletion min-heap over `(vseq(shard minimum), bucket)`.
-    /// Invariant: every non-empty shard has at least one entry whose key
-    /// equals the virtual sequence of its *current* minimum.
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Virtual-sequence anchor: `vseq(vbase_seq) == vbase`.
-    vbase: u64,
-    vbase_seq: Seq,
+    /// `(key, peer)` for every member, in key-line order.
+    order: BTreeSet<(u64, PeerId)>,
     costs: MembershipCosts,
     /// Total JOINs processed (paper: RMC "approximates the number of
     /// receivers" from joins; kept as a stat in both modes).
@@ -178,26 +98,10 @@ pub struct Membership {
     pub total_ejections: u64,
 }
 
-impl Default for Membership {
-    fn default() -> Self {
-        Membership::new()
-    }
-}
-
 impl Membership {
     /// Empty table.
     pub fn new() -> Membership {
-        Membership {
-            members: HashMap::new(),
-            shards: HashMap::new(),
-            heap: BinaryHeap::new(),
-            vbase: VBASE_ORIGIN,
-            vbase_seq: 0,
-            costs: MembershipCosts::default(),
-            total_joins: 0,
-            total_leaves: 0,
-            total_ejections: 0,
-        }
+        Membership::default()
     }
 
     /// Number of current members.
@@ -210,92 +114,14 @@ impl Membership {
         self.members.is_empty()
     }
 
-    /// Number of live sequence shards (a window-span gauge, not a
-    /// receiver-count gauge).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The running scan-cost counters.
     pub fn costs(&self) -> MembershipCosts {
         self.costs
     }
 
-    /// Map a sequence onto the virtual (non-wrapping) line. Sound while
-    /// `seq` is within a serial half-space of the anchor, which holds for
-    /// every live member because the anchor tracks the group minimum.
-    #[inline]
-    fn vseq(&self, seq: Seq) -> u64 {
-        let delta = seq.wrapping_sub(self.vbase_seq) as i32 as i64;
-        (self.vbase as i64 + delta) as u64
-    }
-
-    /// Insert `peer` (already in `members`) into the shard index.
-    fn shard_insert(&mut self, peer: PeerId, seq: Seq, last_heard: Micros, probe_failures: u32) {
-        let b = bucket(seq);
-        let l = low_bits(seq);
-        let key = self.vseq(seq);
-        let shard = self.shards.entry(b).or_insert_with(Shard::new);
-        shard.peers.insert(peer);
-        let new_min = shard.min_low().is_none_or(|m| l < m);
-        *shard.by_low.entry(l).or_insert(0) += 1;
-        shard.oldest_last_heard = shard.oldest_last_heard.min(last_heard);
-        shard.max_probe_failures = shard.max_probe_failures.max(probe_failures);
-        if new_min {
-            self.heap.push(Reverse((key, b)));
-        }
-    }
-
-    /// Remove `peer` from the shard index position `seq`.
-    fn shard_remove(&mut self, peer: PeerId, seq: Seq) {
-        let b = bucket(seq);
-        let l = low_bits(seq);
-        let Some(shard) = self.shards.get_mut(&b) else {
-            return;
-        };
-        shard.peers.remove(&peer);
-        if let Some(cnt) = shard.by_low.get_mut(&l) {
-            *cnt -= 1;
-            if *cnt == 0 {
-                shard.by_low.remove(&l);
-            }
-        }
-        if shard.peers.is_empty() {
-            // Stale heap entries for the dead bucket are discarded lazily.
-            self.shards.remove(&b);
-        } else if let Some(m) = shard.min_low() {
-            if m > l {
-                // The minimum advanced: restore the heap invariant with a
-                // fresh entry for the new minimum.
-                let key = self.vseq(shard_seq(b, m));
-                self.heap.push(Reverse((key, b)));
-            }
-        }
-    }
-
-    /// The exact group minimum via the lazy heap: discard stale entries
-    /// until the top one matches its shard's current minimum, then
-    /// re-anchor the virtual line there.
-    fn refresh_min(&mut self) -> Option<Seq> {
-        loop {
-            let &Reverse((key, b)) = self.heap.peek()?;
-            let cur = self
-                .shards
-                .get(&b)
-                .and_then(|s| s.min_low())
-                .map(|l| shard_seq(b, l));
-            match cur {
-                Some(seq) if self.vseq(seq) == key => {
-                    self.vbase = key;
-                    self.vbase_seq = seq;
-                    return Some(seq);
-                }
-                _ => {
-                    self.heap.pop();
-                    self.costs.heap_lazy_pops += 1;
-                }
-            }
-        }
+    /// The group minimum's key, or `None` with no members.
+    fn min_key(&self) -> Option<u64> {
+        self.order.first().map(|&(key, _)| key)
     }
 
     /// Add a member (the sender's `add_member` routine). `next_expected`
@@ -314,11 +140,7 @@ impl Membership {
             m.probe_failures = 0;
             return;
         }
-        if self.members.is_empty() {
-            // First member: anchor the virtual line at its sequence.
-            self.vbase = VBASE_ORIGIN;
-            self.vbase_seq = next_expected;
-        }
+        let key = lift(self.min_key().unwrap_or(LINE_ORIGIN), next_expected);
         self.members.insert(
             peer,
             Member {
@@ -326,20 +148,38 @@ impl Membership {
                 last_heard: now,
                 last_probed: None,
                 probe_failures: 0,
-                joined_at: now,
+                key,
             },
         );
-        self.shard_insert(peer, next_expected, now, 0);
+        self.order.insert((key, peer));
     }
 
     /// Remove a member (the sender's `rm_member` routine). Returns `true`
     /// if the peer was present.
     pub fn remove(&mut self, peer: PeerId) -> bool {
+        let removed = self.take(peer);
+        self.total_leaves += u64::from(removed);
+        removed
+    }
+
+    /// Forcibly remove a member (stall ejection) — the failure-domain
+    /// counterpart of [`remove`](Membership::remove); counted separately
+    /// from voluntary LEAVEs. Returns `true` if the peer was present.
+    /// Ejected members vanish from the table, so `all_have`, `lacking`
+    /// and `min_next_expected` stop consulting them immediately and the
+    /// release gate unblocks.
+    pub fn eject(&mut self, peer: PeerId) -> bool {
+        let removed = self.take(peer);
+        self.total_ejections += u64::from(removed);
+        removed
+    }
+
+    /// Drop `peer` from both structures; `true` if it was present.
+    fn take(&mut self, peer: PeerId) -> bool {
         let Some(m) = self.members.remove(&peer) else {
             return false;
         };
-        self.shard_remove(peer, m.next_expected);
-        self.total_leaves += 1;
+        self.order.remove(&(m.key, peer));
         true
     }
 
@@ -354,107 +194,42 @@ impl Membership {
         m.last_heard = now;
         m.last_probed = None; // any feedback satisfies a pending probe
         m.probe_failures = 0;
-        let old = m.next_expected;
-        if !hrmc_wire::seq_lt(old, next_expected) {
+        if !seq_lt(m.next_expected, next_expected) {
             return;
         }
+        let key = m.key + u64::from(next_expected.wrapping_sub(m.next_expected));
+        self.order.remove(&(m.key, peer));
+        self.order.insert((key, peer));
         m.next_expected = next_expected;
-        let (ob, nb) = (bucket(old), bucket(next_expected));
-        if ob == nb {
-            // Same shard: adjust the low-bits multiset in place. An
-            // advance only ever raises the shard minimum.
-            let (ol, nl) = (low_bits(old), low_bits(next_expected));
-            let shard = self.shards.get_mut(&ob).expect("member shard exists");
-            if let Some(cnt) = shard.by_low.get_mut(&ol) {
-                *cnt -= 1;
-                if *cnt == 0 {
-                    shard.by_low.remove(&ol);
-                }
-            }
-            *shard.by_low.entry(nl).or_insert(0) += 1;
-            if let Some(m) = shard.min_low() {
-                if m > ol {
-                    let key = self.vseq(shard_seq(ob, m));
-                    self.heap.push(Reverse((key, ob)));
-                }
-            }
-        } else {
-            self.shard_remove(peer, old);
-            self.shard_insert(peer, next_expected, now, 0);
-        }
-    }
-
-    /// Forcibly remove a member (stall ejection) — the failure-domain
-    /// counterpart of [`remove`](Membership::remove); counted separately
-    /// from voluntary LEAVEs. Returns `true` if the peer was present.
-    /// Ejected members vanish from the table, so `all_have`, `lacking`
-    /// and `min_next_expected` stop consulting them immediately and the
-    /// release gate unblocks.
-    pub fn eject(&mut self, peer: PeerId) -> bool {
-        let Some(m) = self.members.remove(&peer) else {
-            return false;
-        };
-        self.shard_remove(peer, m.next_expected);
-        self.total_ejections += 1;
-        true
+        m.key = key;
     }
 
     /// Members from whom nothing has been heard for at least `deadline`
     /// microseconds, sorted for deterministic ejection order. `deadline`
-    /// of zero matches no one (staleness pruning disabled). Shards whose
-    /// oldest-feedback bound proves every member recent are skipped
-    /// without touching their members; descended shards get their bound
-    /// re-tightened for free.
+    /// of zero matches no one (staleness pruning disabled).
     pub fn stale(&mut self, now: Micros, deadline: Micros) -> Vec<PeerId> {
-        let mut v: Vec<PeerId> = Vec::new();
         if deadline == 0 {
-            return v;
+            return Vec::new();
         }
-        for shard in self.shards.values_mut() {
-            if now.saturating_sub(shard.oldest_last_heard) < deadline {
-                continue;
-            }
-            self.costs.shards_scanned += 1;
-            self.costs.members_scanned += shard.peers.len() as u64;
-            let mut oldest = Micros::MAX;
-            for &p in &shard.peers {
-                let m = &self.members[&p];
-                if now.saturating_sub(m.last_heard) >= deadline {
-                    v.push(p);
-                }
-                oldest = oldest.min(m.last_heard);
-            }
-            shard.oldest_last_heard = oldest;
-        }
-        v.sort_unstable();
-        v
+        self.flat_pass(|m| now.saturating_sub(m.last_heard) >= deadline)
     }
 
     /// Members whose consecutive unanswered-probe count has reached
     /// `limit`, sorted for deterministic ejection order. `limit` of zero
-    /// matches no one (probe-failure ejection disabled). Shards whose
-    /// failure-count bound sits below `limit` are skipped whole.
+    /// matches no one (probe-failure ejection disabled).
     pub fn probe_failed(&mut self, limit: u32) -> Vec<PeerId> {
-        let mut v: Vec<PeerId> = Vec::new();
         if limit == 0 {
-            return v;
+            return Vec::new();
         }
-        for shard in self.shards.values_mut() {
-            if shard.max_probe_failures < limit {
-                continue;
-            }
-            self.costs.shards_scanned += 1;
-            self.costs.members_scanned += shard.peers.len() as u64;
-            let mut max_pf = 0;
-            for &p in &shard.peers {
-                let m = &self.members[&p];
-                if m.probe_failures >= limit {
-                    v.push(p);
-                }
-                max_pf = max_pf.max(m.probe_failures);
-            }
-            shard.max_probe_failures = max_pf;
-        }
+        self.flat_pass(|m| m.probe_failures >= limit)
+    }
+
+    /// Every member matching `hit`, sorted by peer; each member visited
+    /// counts as scanned.
+    fn flat_pass(&mut self, hit: impl Fn(&Member) -> bool) -> Vec<PeerId> {
+        self.costs.members_scanned += self.members.len() as u64;
+        let hits = self.members.iter().filter(|(_, m)| hit(m));
+        let mut v: Vec<PeerId> = hits.map(|(&p, _)| p).collect();
         v.sort_unstable();
         v
     }
@@ -464,28 +239,20 @@ impl Membership {
         self.members.get(&peer)
     }
 
-    /// Iterate over members.
-    pub fn iter(&self) -> impl Iterator<Item = (PeerId, &Member)> {
-        self.members.iter().map(|(p, m)| (*p, m))
-    }
-
     /// `true` when the sender has information that **all** receivers have
     /// received every packet up to and including `seq` — the release-gate
     /// predicate of paper §3 (Probe Messages): "before releasing buffer
     /// space, the sender checks the state of all the receivers with
     /// respect to the sequence number past which it intends to advance
-    /// the window." A heap-peek against the group minimum, not a table
-    /// walk.
+    /// the window." A read of the group minimum, not a table walk.
     ///
     /// With no members the release is trivially safe (there is no one to
     /// owe the data to; matches IP-multicast anonymous semantics before
     /// any JOIN arrives).
     pub fn all_have(&mut self, seq: Seq) -> bool {
         self.costs.gate_checks += 1;
-        match self.refresh_min() {
-            None => true,
-            Some(min) => seq_le(seq.wrapping_add(1), min),
-        }
+        self.min_next_expected()
+            .is_none_or(|min| seq_le(seq.wrapping_add(1), min))
     }
 
     /// The receivers lacking confirmation of `seq`, i.e. the PROBE
@@ -498,38 +265,24 @@ impl Membership {
 
     /// Collect the receivers lacking confirmation of `seq` into `out`
     /// (cleared first), sorted for deterministic probe order. The
-    /// allocation-free variant for the sender's tick path: only shards
-    /// whose minimum fails the gate are descended — at most one shard
-    /// straddles the gate; the rest either pass whole (skipped) or lag
-    /// whole (every member is a target).
+    /// allocation-free variant for the sender's tick path: a range scan
+    /// below the gate's key, touching exactly the laggards (none when the
+    /// gate is at or behind the group minimum).
     pub fn lacking_into(&mut self, seq: Seq, out: &mut Vec<PeerId>) {
         out.clear();
-        let gate = seq.wrapping_add(1);
-        match self.refresh_min() {
-            None => return,
-            Some(min) if seq_le(gate, min) => return, // everyone has it
-            Some(_) => {}
-        }
-        for (&b, shard) in self.shards.iter() {
-            let smin = shard_seq(b, shard.min_low().expect("non-empty shard"));
-            if seq_le(gate, smin) {
-                continue; // the whole shard passes the gate
-            }
-            self.costs.shards_scanned += 1;
-            self.costs.members_scanned += shard.peers.len() as u64;
-            for &p in &shard.peers {
-                if !seq_le(gate, self.members[&p].next_expected) {
-                    out.push(p);
-                }
-            }
-        }
+        let Some(min) = self.min_key() else {
+            return;
+        };
+        let gate = lift(min, seq.wrapping_add(1));
+        out.extend(self.order.range(..(gate, PeerId(0))).map(|&(_, p)| p));
+        self.costs.members_scanned += out.len() as u64;
         out.sort_unstable(); // deterministic probe order
     }
 
     /// The group-wide minimum next-expected sequence number, or `None`
     /// with no members. Everything before this is confirmed everywhere.
-    pub fn min_next_expected(&mut self) -> Option<Seq> {
-        self.refresh_min()
+    pub fn min_next_expected(&self) -> Option<Seq> {
+        self.min_key().map(|key| key as Seq)
     }
 
     /// Record that `peer` was probed at `now`. Probing a peer whose
@@ -540,11 +293,6 @@ impl Membership {
         };
         if m.last_probed.is_some() {
             m.probe_failures += 1;
-            let b = bucket(m.next_expected);
-            let pf = m.probe_failures;
-            if let Some(shard) = self.shards.get_mut(&b) {
-                shard.max_probe_failures = shard.max_probe_failures.max(pf);
-            }
         }
         m.last_probed = Some(now);
     }
@@ -733,8 +481,8 @@ mod tests {
 
     #[test]
     fn gate_is_exact_across_shard_boundaries() {
-        // Members straddling several 64-sequence buckets: the gate must
-        // stay member-exact even when whole shards are skipped or lag.
+        // Members spread over several 64-sequence spans: the gate must
+        // stay member-exact whichever of them lag.
         let mut m = Membership::new();
         for i in 0..10u32 {
             m.add(PeerId(i), 0, 0);
@@ -746,19 +494,18 @@ mod tests {
         assert_eq!(
             m.lacking(200),
             (0..5).map(PeerId).collect::<Vec<_>>(),
-            "shard-skipping descent must still be member-exact"
+            "the range scan must be member-exact"
         );
         m.update(PeerId(0), 451, 2);
         assert_eq!(m.min_next_expected(), Some(50));
         assert!(m.all_have(49));
         assert!(!m.all_have(50));
-        assert!(m.shard_count() >= 2);
     }
 
     #[test]
     fn wraparound_group_min_advances_through_zero() {
-        // March a small group's minimum across the u32 wrap; the heap's
-        // virtual keys must keep the gate exact the whole way.
+        // March a small group's minimum across the u32 wrap; the key
+        // line must keep the gate exact the whole way.
         let mut m = Membership::new();
         let start = u32::MAX - 300;
         for i in 0..4u32 {
@@ -780,20 +527,15 @@ mod tests {
     }
 
     #[test]
-    fn scan_costs_skip_clean_shards() {
+    fn gate_scans_no_member_when_everyone_has_the_sequence() {
         let mut m = Membership::new();
         for i in 0..100u32 {
             m.add(PeerId(i), 0, 0);
             m.update(PeerId(i), 1000, 5);
         }
         let before = m.costs();
-        // Nobody is stale and no shard bound can match: zero descents.
-        assert_eq!(m.stale(10, 100), Vec::<PeerId>::new());
-        assert_eq!(m.probe_failed(1), Vec::<PeerId>::new());
-        let after = m.costs();
-        assert_eq!(after.members_scanned, before.members_scanned);
-        // Everyone already has seq 500: the gate answers by heap-peek,
-        // descending into no shard at all.
+        // Everyone already has seq 500: the gate answers from the group
+        // minimum and the range scan below the gate is empty.
         assert!(m.all_have(500));
         assert_eq!(m.lacking(500), Vec::<PeerId>::new());
         assert_eq!(m.costs().members_scanned, before.members_scanned);

@@ -616,9 +616,7 @@ impl SenderEngine {
         let costs = self.membership.costs();
         self.stats.gate_checks = costs.gate_checks;
         self.stats.gate_members_scanned = costs.members_scanned;
-        self.stats.membership_heap_pops = costs.heap_lazy_pops;
         self.stats.membership_size = self.membership.len() as u64;
-        self.stats.membership_shards = self.membership.shard_count() as u64;
     }
 
     /// Failure-domain pass: eject members that stopped answering PROBEs
@@ -929,15 +927,13 @@ impl SenderEngine {
 
     /// Publish membership-pressure gauges into `reg` — the continuous-
     /// telemetry hook. Drivers call this while gathering a sample so
-    /// `hrmc top` and `/metrics` show group size, shard count, and what
-    /// the release gate's scans actually cost.
+    /// `hrmc top` and `/metrics` show group size and what the release
+    /// gate's scans actually cost.
     pub fn publish_metrics(&self, reg: &mut crate::metrics::MetricsRegistry) {
         let costs = self.membership.costs();
         reg.set_gauge("membership_size", self.membership.len() as u64);
-        reg.set_gauge("membership_shards", self.membership.shard_count() as u64);
         reg.set_gauge("membership_gate_checks", costs.gate_checks);
         reg.set_gauge("membership_gate_members_scanned", costs.members_scanned);
-        reg.set_gauge("membership_heap_lazy_pops", costs.heap_lazy_pops);
         reg.set_gauge("probes_last_tick", self.stats.probes_last_tick);
         reg.set_gauge(
             "probes_deferred_by_batch",

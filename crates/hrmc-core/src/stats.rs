@@ -62,21 +62,16 @@ pub struct SenderStats {
     /// Current membership size (gauge, refreshed each tick).
     #[serde(skip)]
     pub membership_size: u64,
-    /// Live sequence shards in the membership index (gauge; tracks the
-    /// group's window span, not its population).
-    #[serde(skip)]
-    pub membership_shards: u64,
-    /// Release-gate (`all_have`) evaluations — each is a heap-peek.
+    /// Release-gate (`all_have`) evaluations — each reads the group
+    /// minimum.
     #[serde(skip)]
     pub gate_checks: u64,
-    /// Members touched by `lacking`/`stale`/`probe_failed` descents: the
-    /// release gate's total scan cost. Sub-linear growth in the receiver
-    /// count is the point of the sharded index.
+    /// Members touched by `lacking`/`stale`/`probe_failed`: the release
+    /// gate's total scan cost. `lacking` touches only the laggards, so
+    /// this grows with them, not with the receiver count (unless
+    /// ejection, a flat pass, is enabled).
     #[serde(skip)]
     pub gate_members_scanned: u64,
-    /// Stale membership-heap entries discarded by lazy deletion.
-    #[serde(skip)]
-    pub membership_heap_pops: u64,
     /// PROBEs emitted during the most recent tick (gauge).
     #[serde(skip)]
     pub probes_last_tick: u64,

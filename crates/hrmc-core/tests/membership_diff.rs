@@ -1,9 +1,10 @@
-//! Differential property test: the sharded, heap-gated [`Membership`]
-//! must give bit-identical answers to the naive flat-table reference it
-//! replaced, across randomized add/update/eject/probe/wraparound
-//! sequences. The reference below *is* the original implementation — an
-//! O(n) walk over a `HashMap` — kept here as the executable spec (with
-//! the re-JOIN-clears-probe-state fix applied to both sides).
+//! Differential property test: the ordered-set [`Membership`] (keys on a
+//! non-wrapping sequence line) must give bit-identical answers to the
+//! naive flat-table reference it replaced, across randomized
+//! add/update/eject/probe/wraparound sequences. The reference below *is*
+//! the original implementation — an O(n) walk over a `HashMap` — kept
+//! here as the executable spec (with the re-JOIN-clears-probe-state fix
+//! applied to both sides).
 
 use std::collections::HashMap;
 
@@ -249,5 +250,89 @@ proptest! {
             naive.update(PeerId(p as u32), fronts[p], now);
             assert_equivalent(&mut sharded, &naive, base, probe_off, now);
         }
+    }
+
+    #[test]
+    fn sharded_membership_matches_across_repeated_wraps(
+        // Eight members advance in near-lockstep by large strides through
+        // more than three full u32 wraps, while membership churns under
+        // them: the minimum leaves, a member rejoins behind the new
+        // minimum, and the table empties and refills.
+        start in any::<u32>(),
+        strides in proptest::collection::vec((1u32 << 24)..=(1 << 28), 1..32),
+        offs in proptest::collection::vec(0u32..4096, 8..9),
+        rejoin_gap in 1u32..(1 << 20),
+        probe_off in 0u32..8192,
+    ) {
+        const WRAP: u64 = 1 << 32;
+        let mut sharded = Membership::new();
+        let mut naive = NaiveMembership::default();
+        let mut now = 0u64;
+        for p in 0..8u32 {
+            now += 7;
+            let seq = start.wrapping_add(offs[p as usize]);
+            sharded.add(PeerId(p), seq, now);
+            naive.add(PeerId(p), seq, now);
+        }
+        let (mut front, mut travelled) = (start, 0u64);
+        let (mut removed_min, mut refilled) = (false, false);
+        let mut step = 0usize;
+        while travelled < 3 * WRAP + WRAP / 2 {
+            let stride = strides[step % strides.len()];
+            front = front.wrapping_add(stride);
+            travelled += u64::from(stride);
+            step += 1;
+            for p in 0..8u32 {
+                now += 13;
+                let seq = front.wrapping_add(offs[(p as usize + step) % 8]);
+                sharded.update(PeerId(p), seq, now);
+                naive.update(PeerId(p), seq, now);
+            }
+            let probed = PeerId((step % 8) as u32);
+            for _ in 0..2 {
+                sharded.mark_probed(probed, now);
+                naive.mark_probed(probed, now);
+            }
+            if !removed_min && travelled >= WRAP {
+                // The minimum member leaves (lowest peer on a tie).
+                let min = naive.min_next_expected().expect("non-empty");
+                let victim = (0..8u32)
+                    .map(PeerId)
+                    .find(|p| naive.members.get(p).is_some_and(|m| m.next_expected == min))
+                    .expect("a member holds the minimum");
+                prop_assert!(sharded.remove(victim));
+                prop_assert!(naive.remove(victim));
+                let probe_base = front.wrapping_sub(4096);
+                assert_equivalent(&mut sharded, &naive, probe_base, probe_off, now);
+                // It rejoins behind the new minimum.
+                let new_min = naive.min_next_expected().expect("non-empty");
+                let behind = new_min.wrapping_sub(rejoin_gap);
+                sharded.add(victim, behind, now);
+                naive.add(victim, behind, now);
+                prop_assert_eq!(sharded.min_next_expected(), Some(behind));
+                removed_min = true;
+            }
+            if !refilled && travelled >= 2 * WRAP {
+                // The table empties (LEAVEs and ejections) and refills.
+                for p in 0..8u32 {
+                    if p % 2 == 0 {
+                        prop_assert_eq!(sharded.remove(PeerId(p)), naive.remove(PeerId(p)));
+                    } else {
+                        prop_assert_eq!(sharded.eject(PeerId(p)), naive.eject(PeerId(p)));
+                    }
+                }
+                prop_assert!(sharded.is_empty());
+                assert_equivalent(&mut sharded, &naive, front, probe_off, now);
+                for p in 0..8u32 {
+                    now += 7;
+                    let seq = front.wrapping_add(offs[p as usize]);
+                    sharded.add(PeerId(p), seq, now);
+                    naive.add(PeerId(p), seq, now);
+                }
+                refilled = true;
+            }
+            assert_equivalent(&mut sharded, &naive, front.wrapping_sub(4096), probe_off, now);
+        }
+        prop_assert!(removed_min && refilled);
     }
 }

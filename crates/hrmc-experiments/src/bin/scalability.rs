@@ -23,10 +23,9 @@ use hrmc_app::{mean, Scenario};
 use hrmc_experiments::{ExpOptions, Table};
 use serde_json::json;
 
-/// The fan-out sweep: one lossless LAN transfer per population. Small
-/// fixed transfer — the quantity under test is per-receiver overhead,
-/// not bulk throughput — with PROBE fan-out paced so a single tick never
-/// bursts O(receivers) unicast probes.
+/// The fan-out sweep: one lossless LAN transfer per population (see
+/// [`hrmc_experiments::fanout_scenario`]). Small fixed transfer — the
+/// quantity under test is per-receiver overhead, not bulk throughput.
 fn fanout_sweep(opts: &ExpOptions, populations: &[usize]) {
     let transfer = opts.transfer(200_000);
     let mut table = Table::new(
@@ -46,33 +45,7 @@ fn fanout_sweep(opts: &ExpOptions, populations: &[usize]) {
     );
     let mut series = serde_json::Map::new();
     for &n in populations {
-        // Modern-fabric footing, scaled with the population. The paper's
-        // 1999 constants (300 MHz host, 10 Mbps LAN, 256 KB queues,
-        // 30-packet NIC rings) each become a wall well before 10k
-        // receivers, and every wall poisons the RTT estimator the same
-        // way: feedback (JOINs, periodic UPDATEs at ~2/s per receiver)
-        // queues or retries for seconds, the delayed echoes inflate
-        // SRTT, and MINBUF = 10 RTTs then stalls buffer release by
-        // minutes. A 1 Gbps fabric with population-sized queues and a
-        // ~100x CPU keeps the sweep measuring protocol- and
-        // simulator-side scaling rather than 1999 hardware.
-        let mut scenario =
-            Scenario::lan(n, 1_000_000_000, 256 * 1024, transfer).with_probe_batch(64);
-        scenario.cpu_scale = 0.01;
-        // The JOIN burst and the grid-aligned periodic-UPDATE waves each
-        // land on the router as ~n packets in one tick; the queue must
-        // hold a couple of such waves or the shed packets turn into
-        // retries (and SRTT poison, as above).
-        scenario.router_queue = scenario.router_queue.max(2 * n);
-        // Pace the data plane at the paper's 10 Mbps while control
-        // traffic rides the full fabric. This keeps the transfer long
-        // enough to span the JOIN wave, so the release gate really is
-        // evaluated against n live members rather than an empty group.
-        scenario.max_rate_factor = 0.01;
-        // The JOIN handshake answers every receiver unicast; the burst
-        // must fit the sender's transmit ring or dropped responses
-        // trigger JOIN retries (whose stale echoes again poison SRTT).
-        scenario.sender_txqueue = scenario.sender_txqueue.max(n / 4);
+        let scenario = hrmc_experiments::fanout_scenario(n, transfer);
         let started = std::time::Instant::now();
         let r = scenario.run();
         let wall = started.elapsed();
