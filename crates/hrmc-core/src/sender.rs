@@ -6,7 +6,7 @@
 //! | Paper task | Engine entry point |
 //! |------------|--------------------|
 //! | Application Interface (`hrmc_sendmsg`) | [`SenderEngine::submit`] / [`SenderEngine::close`] |
-//! | Transmitter (`transmit_timer`, every jiffy) | [`SenderEngine::on_tick`] |
+//! | Transmitter (`transmit_timer`, every jiffy and on submit) | [`SenderEngine::on_tick`] |
 //! | Feedback Processor (`hrmc_master_rcv`) | [`SenderEngine::handle_packet`] |
 //! | Retransmitter (`retrans_timer`) | retransmission pass inside [`SenderEngine::on_tick`] |
 //! | Keepalive Controller (`ka_timer`) | keepalive pass inside [`SenderEngine::on_tick`] |
@@ -108,6 +108,9 @@ pub struct SenderEngine {
     closed: bool,
     transfer_complete_emitted: bool,
     submit_blocked: bool,
+    /// Set when `submit` accepts bytes or `close` queues the FIN; asks
+    /// for an immediate transmitter tick, which clears it on entry.
+    tick_requested: bool,
     out: VecDeque<Outgoing>,
     events: VecDeque<SenderEvent>,
     /// Optional observability hook (None by default: zero-cost).
@@ -167,6 +170,7 @@ impl SenderEngine {
             closed: false,
             transfer_complete_emitted: false,
             submit_blocked: false,
+            tick_requested: false,
             out: VecDeque::new(),
             events: VecDeque::new(),
             observer: None,
@@ -238,6 +242,11 @@ impl SenderEngine {
     /// `None` when fully idle (a deadline-driven driver may then sleep
     /// until the next `submit`/`handle_packet` call re-arms it).
     ///
+    /// Right after a `submit` that accepted bytes or a `close` that
+    /// queued the FIN, the answer is `now`: new data leaves on an
+    /// immediate tick, as far as the rate bucket allows, instead of
+    /// waiting out the rest of the jiffy. That tick clears the request.
+    ///
     /// While the transfer is in progress — unreleased data in the window,
     /// unsent segments queued, or retransmissions pending — the sender is
     /// jiffy-armed: rate credit accrues per tick and release probes are
@@ -247,6 +256,9 @@ impl SenderEngine {
     pub fn next_wakeup(&self, now: Micros) -> Option<Micros> {
         if self.is_finished() {
             return None;
+        }
+        if self.tick_requested {
+            return Some(now);
         }
         if !self.window.is_empty() || self.window.has_unsent() || !self.retrans_queue.is_empty() {
             return Some(now + JIFFY_US);
@@ -278,6 +290,7 @@ impl SenderEngine {
             }
             offset += take;
         }
+        self.tick_requested |= offset > 0;
         offset
     }
 
@@ -291,6 +304,7 @@ impl SenderEngine {
         // A FIN segment is zero bytes of payload, so it always fits.
         let pushed = self.window.push(Bytes::new(), true);
         debug_assert!(pushed, "zero-length FIN must always fit");
+        self.tick_requested = true;
     }
 
     // ------------------------------------------------------------------
@@ -502,11 +516,17 @@ impl SenderEngine {
     }
 
     // ------------------------------------------------------------------
-    // Transmitter + Retransmitter + Keepalive (transmit_timer, every jiffy)
+    // Transmitter + Retransmitter + Keepalive (transmit_timer)
     // ------------------------------------------------------------------
 
-    /// Run one transmitter tick at `now`. Drivers call this every jiffy.
+    /// Run one transmitter tick at `now`. Drivers call this whenever
+    /// [`SenderEngine::next_wakeup`] comes due: every jiffy while a
+    /// transfer is in progress, and at once after new data is queued.
+    /// The rate bucket grants elapsed time × rate, so an extra tick
+    /// sends no more than the rate allows, and every other pass here is
+    /// time-based.
     pub fn on_tick(&mut self, now: Micros) {
+        self.tick_requested = false;
         let probes_at_entry = self.stats.probes_sent;
         self.rate.on_tick(now, self.rtt.rtt());
         self.note_rate_events(now);
@@ -996,9 +1016,9 @@ mod tests {
         let mut s = engine(ReliabilityMode::Hybrid);
         // Nothing queued and nothing ever sent: fully idle.
         assert_eq!(s.next_wakeup(0), None);
-        // Unsent data: jiffy-armed.
+        // Fresh data asks for an immediate tick.
         s.submit(&vec![7u8; 3000], 0);
-        assert_eq!(s.next_wakeup(0), Some(JIFFY_US));
+        assert_eq!(s.next_wakeup(0), Some(0));
         // With no members the segments sit out the 2 s anonymous release
         // hold, then drain. After that only the keepalive timer remains,
         // and the reported deadline is never in the past.
@@ -1006,12 +1026,81 @@ mod tests {
         assert_eq!(s.buffered_bytes(), 0);
         let t = s.next_wakeup(3_000_000).expect("keepalive stays armed");
         assert!(t >= 3_000_000);
-        // Closing queues the FIN segment: jiffy-armed again.
+        // Closing queues the FIN segment: an immediate tick again.
         s.close(3_010_000);
-        assert_eq!(s.next_wakeup(3_010_000), Some(3_010_000 + JIFFY_US));
+        assert_eq!(s.next_wakeup(3_010_000), Some(3_010_000));
         let _ = run_until(&mut s, 3_010_000, 6_000_000);
         assert!(s.is_finished());
         assert_eq!(s.next_wakeup(6_000_000), None);
+    }
+
+    #[test]
+    fn submit_off_grid_transmits_at_once_then_rearms_a_jiffy_later() {
+        let mut s = engine(ReliabilityMode::Hybrid);
+        let t = 37_300; // not a multiple of the jiffy
+        assert_eq!(s.submit(&[7u8; 1000], t), 1000);
+        assert_eq!(s.next_wakeup(t), Some(t));
+        s.on_tick(t);
+        let data: Vec<_> = drain(&mut s)
+            .into_iter()
+            .filter(|o| o.packet.header.ptype == PacketType::Data)
+            .collect();
+        assert_eq!(data.len(), 1, "the segment leaves on the requested tick");
+        assert_eq!(data[0].packet.payload.len(), 1000);
+        // The tick consumed the request: back to the per-jiffy cadence.
+        assert_eq!(s.next_wakeup(t), Some(t + JIFFY_US));
+    }
+
+    #[test]
+    fn submit_during_urgent_stop_ticks_once_without_spinning() {
+        let mut s = engine(ReliabilityMode::Hybrid);
+        s.submit(&vec![0u8; 20_000], 0);
+        run_until(&mut s, 0, 100_000);
+        let mut ctl = Packet::control(PacketType::Control, 9, 7000, 0);
+        ctl.header.flags.urg = true;
+        s.handle_packet(&ctl, P1, 100_000);
+        drain(&mut s);
+        let t = 103_700;
+        assert!(s.submit(&[1u8; 1400], t) > 0);
+        assert_eq!(s.next_wakeup(t), Some(t));
+        s.on_tick(t);
+        assert!(
+            drain(&mut s)
+                .iter()
+                .all(|o| o.packet.header.ptype != PacketType::Data),
+            "data sent during urgent stop"
+        );
+        // A stopped rate grants nothing, yet the request is spent: the
+        // next deadline is a jiffy out, however often it is re-read.
+        assert_eq!(s.next_wakeup(t), Some(t + JIFFY_US));
+        assert_eq!(s.next_wakeup(t + 500), Some(t + 500 + JIFFY_US));
+    }
+
+    #[test]
+    fn refused_submits_and_repeat_close_request_no_tick() {
+        // A zero-byte submit on an idle engine leaves it idle.
+        let mut s = engine(ReliabilityMode::Hybrid);
+        assert_eq!(s.submit(&[], 5_000), 0);
+        assert_eq!(s.next_wakeup(5_000), None);
+
+        // A submit into a full window accepts nothing.
+        let mut s = engine(ReliabilityMode::Hybrid);
+        let big = vec![0u8; 128 * 1024];
+        assert!(s.submit(&big, 0) > 0);
+        s.on_tick(0);
+        assert_eq!(s.submit(&big, 4_000), 0);
+        assert_eq!(s.next_wakeup(4_000), Some(4_000 + JIFFY_US));
+
+        // Only the first close queues a FIN.
+        let mut s = engine(ReliabilityMode::Hybrid);
+        s.close(0);
+        assert_eq!(s.next_wakeup(0), Some(0));
+        s.on_tick(0);
+        s.close(6_000);
+        assert_eq!(s.next_wakeup(6_000), Some(6_000 + JIFFY_US));
+        // Nor does a submit after close.
+        assert_eq!(s.submit(&[1u8; 10], 7_000), 0);
+        assert_eq!(s.next_wakeup(7_000), Some(7_000 + JIFFY_US));
     }
 
     #[test]

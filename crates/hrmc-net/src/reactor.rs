@@ -28,7 +28,9 @@
 //! threads used: an active engine's "one jiffy from now" wish recedes on
 //! every re-read, so the heap keeps the earliest deadline promised so
 //! far per session (stale entries are skipped lazily on pop) and a fresh
-//! deadline is taken only after servicing a tick.
+//! deadline is taken only after servicing a tick. A sender that just
+//! accepted data answers "now"; the kick folds that in as the minimum,
+//! so the data leaves on the next loop pass.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};

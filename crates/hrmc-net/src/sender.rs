@@ -303,9 +303,9 @@ impl SenderHandle {
             };
             offset += n;
             if n > 0 {
-                // New data re-arms the engine: kick the reactor so it
-                // re-reads the deadline and starts transmitting this
-                // jiffy instead of finishing an idle sleep.
+                // Accepted data asks the engine for an immediate tick:
+                // kick the reactor so it re-reads the deadline and
+                // transmits now instead of finishing its sleep.
                 self.reactor.kick(self.id);
             }
             if n == 0 {

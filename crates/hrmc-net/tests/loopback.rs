@@ -6,7 +6,7 @@
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hrmc_core::{Event, Micros, ProtocolConfig, ProtocolObserver};
 use hrmc_net::{McastSocket, Reactor, Session, SocketBuffers};
@@ -501,4 +501,79 @@ fn membership_gauges_flow_through_reactor_metrics() {
     assert!(reg.gauge("probes_last_tick").is_some());
     tx.close_and_wait(Duration::from_secs(30)).expect("close");
     assert_eq!(reader.join().expect("reader"), payload.len());
+}
+
+/// Data handed to `send` mid-jiffy leaves at once: a submit asks the
+/// sender engine for an immediate tick instead of waiting for the next
+/// 10 ms transmitter tick. Messages go out on a 3.7 ms period, off the
+/// jiffy grid, so a jiffy-quantised transmitter shows a median
+/// submit→recv latency near half a jiffy (about 5 ms).
+#[test]
+fn submitted_data_leaves_without_waiting_for_a_jiffy() {
+    if !multicast_available(46190) {
+        eprintln!("skipping: multicast loopback unavailable");
+        return;
+    }
+    const MESSAGES: usize = 32;
+    const LEN: usize = 1000; // one segment each
+    const PERIOD: Duration = Duration::from_micros(3_700);
+    let group = SocketAddrV4::new(Ipv4Addr::new(239, 255, 88, 21), 46191);
+    // A private reactor: no other test's sessions share this loop.
+    let reactor = Reactor::new().expect("reactor");
+    let rx = Session::receiver(group)
+        .interface(LO)
+        .config(config())
+        .reactor(reactor.clone())
+        .bind()
+        .expect("join receiver");
+    let tx = Session::sender(group)
+        .interface(LO)
+        .config(config())
+        .reactor(reactor.clone())
+        .bind()
+        .expect("bind sender");
+    let epoch = Instant::now();
+    let reader = std::thread::spawn(move || {
+        let mut got = Vec::with_capacity(MESSAGES * LEN);
+        let mut completed_at = Vec::with_capacity(MESSAGES);
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            match rx.recv(&mut buf, Duration::from_secs(30)) {
+                Ok(0) => break,
+                Ok(n) => {
+                    got.extend_from_slice(&buf[..n]);
+                    let now = epoch.elapsed();
+                    completed_at.resize(got.len() / LEN, now);
+                }
+                Err(e) => panic!("recv failed: {e}"),
+            }
+        }
+        (got, completed_at)
+    });
+
+    let payload = pattern(MESSAGES * LEN);
+    let mut submitted = Vec::with_capacity(MESSAGES);
+    for (k, msg) in payload.chunks(LEN).enumerate() {
+        if let Some(wait) = (PERIOD * k as u32).checked_sub(epoch.elapsed()) {
+            std::thread::sleep(wait);
+        }
+        submitted.push(epoch.elapsed());
+        tx.send(msg).expect("send");
+    }
+    tx.close_and_wait(Duration::from_secs(30)).expect("close");
+    let (got, completed_at) = reader.join().expect("reader");
+    assert_eq!(got.len(), payload.len(), "byte count");
+    assert!(got == payload, "stream corrupted");
+
+    let mut latency: Vec<Duration> = completed_at
+        .iter()
+        .zip(&submitted)
+        .map(|(&done, &sent)| done.saturating_sub(sent))
+        .collect();
+    latency.sort();
+    let median = latency[MESSAGES / 2];
+    assert!(
+        median < Duration::from_millis(3),
+        "median submit→recv latency {median:?}; sorted: {latency:?}"
+    );
 }
