@@ -46,20 +46,10 @@
 //! has no reactor section (it was written where multicast was
 //! unavailable), only the absolute floor applies. Skipped (with a
 //! notice) when this environment forbids multicast.
-//!
-//! Finally, a `datapath` row compares the pluggable syscall backends
-//! head-to-head: the same 2-pair transfer workload on a 2-shard
-//! [`ReactorPool`] under epoll and (when built with `--features uring`
-//! on a kernel that has io_uring) under io_uring, recording backend,
-//! shard count, and syscalls per packet. The `--check` gate here is
-//! *self-relative*: the uring row must come in strictly below the epoll
-//! row measured in the same process — no committed pin, since absolute
-//! loopback ratios vary across machines. Either leg that cannot run is
-//! skipped with a notice, never failed.
 
 use hrmc_core::membership::Membership;
 use hrmc_core::{PeerId, ProtocolConfig};
-use hrmc_net::{DatapathKind, McastSocket, Reactor, ReactorConfig, ReactorPool, Session};
+use hrmc_net::{McastSocket, Reactor, Session};
 use hrmc_sim::{SimParams, SimReport, Simulation, TopologyBuilder};
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::{Duration, Instant};
@@ -209,125 +199,6 @@ fn reactor_microbench(pairs: usize, payload: usize) -> Option<ReactorBench> {
         rx_batch_mean: st.rx_batch_mean,
         rx_batch_max: st.rx_batch_max,
     })
-}
-
-/// One datapath-backend row: the same live transfer workload as the
-/// reactor micro-bench, but on a sharded pool with an explicitly chosen
-/// syscall backend, so epoll and io_uring are directly comparable.
-struct DatapathBench {
-    backend: &'static str,
-    shards: usize,
-    wall_ms: f64,
-    packets: u64,
-    syscalls_per_packet: f64,
-}
-
-/// Run `pairs` transfers of `payload` bytes on a fresh 2-shard pool
-/// using `kind`, and read the aggregated stats. `None` when multicast
-/// is unavailable, or when `kind` was requested but the build/kernel
-/// fell back to a different backend (the caller reports the skip).
-fn datapath_microbench(
-    kind: DatapathKind,
-    pairs: usize,
-    payload: usize,
-    group_octet: u8,
-    port_base: u16,
-) -> Option<DatapathBench> {
-    if !multicast_available(49001) {
-        return None;
-    }
-    let pool = ReactorPool::with_config(ReactorConfig {
-        datapath: kind,
-        shards: 2,
-        ..ReactorConfig::default()
-    })
-    .expect("pool");
-    let agg = pool.aggregate();
-    if agg.backend != kind.to_string() {
-        return None; // requested backend unavailable; fell back
-    }
-    let mut protocol = ProtocolConfig::hrmc().with_buffer(256 * 1024);
-    protocol.max_rate = 16 * 1024 * 1024;
-    protocol.initial_rtt = 2_000;
-    protocol.anonymous_release_hold = 500_000;
-    let t0 = Instant::now();
-    let groups: Vec<SocketAddrV4> = (0..pairs as u16)
-        .map(|i| {
-            SocketAddrV4::new(
-                Ipv4Addr::new(239, 255, 95, group_octet + i as u8),
-                port_base + i,
-            )
-        })
-        .collect();
-    let data: Vec<u8> = (0..payload).map(|i| (i * 31 % 251) as u8).collect();
-    let workers: Vec<_> = groups
-        .iter()
-        .map(|&g| {
-            let pool = pool.clone();
-            let data = data.clone();
-            let protocol = protocol.clone();
-            std::thread::spawn(move || {
-                let rx = Session::receiver(g)
-                    .interface(LO)
-                    .config(protocol.clone())
-                    .reactor_pool(&pool)
-                    .bind()
-                    .expect("join receiver");
-                let tx = Session::sender(g)
-                    .interface(LO)
-                    .config(protocol)
-                    .reactor_pool(&pool)
-                    .bind()
-                    .expect("bind sender");
-                tx.send(&data).expect("bench send");
-                tx.close();
-                let mut got = 0usize;
-                let mut buf = [0u8; 16 * 1024];
-                loop {
-                    match rx.recv(&mut buf, Duration::from_secs(60)) {
-                        Ok(0) => break,
-                        Ok(n) => got += n,
-                        Err(e) => panic!("bench recv failed: {e}"),
-                    }
-                }
-                assert_eq!(got, data.len(), "bench transfer truncated");
-                tx.close_and_wait(Duration::from_secs(120))
-                    .expect("bench close");
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("bench worker panicked");
-    }
-    let st = pool.aggregate();
-    Some(DatapathBench {
-        backend: if kind == DatapathKind::Uring {
-            "uring"
-        } else {
-            "epoll"
-        },
-        shards: pool.shards(),
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        packets: st.packets_rx + st.packets_tx,
-        syscalls_per_packet: st.syscalls_per_packet(),
-    })
-}
-
-fn datapath_json(b: &DatapathBench) -> serde_json::Value {
-    serde_json::json!({
-        "backend": b.backend,
-        "shards": b.shards,
-        "wall_ms": b.wall_ms,
-        "packets": b.packets,
-        "syscalls_per_packet": b.syscalls_per_packet,
-    })
-}
-
-fn print_datapath_row(b: &DatapathBench) {
-    println!(
-        "bench: datapath/{}  shards={}  wall={:.1} ms  packets={}  syscalls_per_packet={:.3}",
-        b.backend, b.shards, b.wall_ms, b.packets, b.syscalls_per_packet
-    );
 }
 
 /// One membership micro-bench row: per-operation wall time (noisy,
@@ -572,35 +443,6 @@ fn check_against_baseline() -> ! {
         }
         None => println!("bench-check: reactor micro-bench skipped (no multicast loopback)"),
     }
-    // Datapath gate: self-relative, never against a committed pin
-    // (loopback throughput varies too much across machines). When the
-    // io_uring backend actually runs, its syscalls-per-packet must be
-    // strictly below the epoll row measured in the same process on the
-    // same workload — the entire point of the completion-ring backend.
-    match datapath_microbench(DatapathKind::Epoll, 2, 100_000, 30, 49030) {
-        Some(epoll) => {
-            print_datapath_row(&epoll);
-            match datapath_microbench(DatapathKind::Uring, 2, 100_000, 40, 49040) {
-                Some(uring) => {
-                    print_datapath_row(&uring);
-                    let ok = uring.syscalls_per_packet < epoll.syscalls_per_packet;
-                    failed |= !ok;
-                    println!(
-                        "bench-check: datapath uring syscalls_per_packet={:.3}  \
-                         epoll={:.3}  limit=<epoll  {}",
-                        uring.syscalls_per_packet,
-                        epoll.syscalls_per_packet,
-                        if ok { "ok" } else { "REGRESSED" }
-                    );
-                }
-                None => println!(
-                    "bench-check: datapath uring leg skipped (build without \
-                     --features uring, or kernel lacks io_uring)"
-                ),
-            }
-        }
-        None => println!("bench-check: datapath rows skipped (no multicast loopback)"),
-    }
     if failed {
         eprintln!(
             "bench-check: perf regressed vs BENCH_sim.json / the batching floor; \
@@ -675,21 +517,6 @@ fn main() {
         None => println!("bench: reactor micro-bench skipped (no multicast loopback)"),
     }
 
-    let dp_payload = if smoke { 30_000 } else { 100_000 };
-    let dp_epoll = datapath_microbench(DatapathKind::Epoll, 2, dp_payload, 30, 49030);
-    let dp_uring = datapath_microbench(DatapathKind::Uring, 2, dp_payload, 40, 49040);
-    match &dp_epoll {
-        Some(b) => print_datapath_row(b),
-        None => println!("bench: datapath/epoll skipped (no multicast loopback)"),
-    }
-    match &dp_uring {
-        Some(b) => print_datapath_row(b),
-        None => println!(
-            "bench: datapath/uring skipped (build without --features uring, \
-             kernel lacks io_uring, or no multicast loopback)"
-        ),
-    }
-
     if smoke {
         return; // CI smoke: no baseline file
     }
@@ -737,12 +564,6 @@ fn main() {
             "rx_batch_mean": r.rx_batch_mean,
             "rx_batch_max": r.rx_batch_max,
         })),
-        "datapath": {
-            "pairs": 2,
-            "transfer_bytes": dp_payload,
-            "epoll": dp_epoll.as_ref().map(datapath_json),
-            "uring": dp_uring.as_ref().map(datapath_json),
-        },
     });
     let path = baseline_path();
     let body = serde_json::to_string_pretty(&out).expect("serialize BENCH_sim.json");

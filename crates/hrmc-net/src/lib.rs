@@ -28,25 +28,22 @@
 //! [`Reactor::global`].
 
 pub mod clock;
-pub mod datapath;
+mod datapath;
 pub mod pool;
 pub mod reactor;
 pub mod receiver;
 pub mod sender;
 pub mod session;
 pub mod socket;
-#[cfg(feature = "telemetry")]
 pub mod telemetry;
 
 pub use clock::DriverClock;
-pub use datapath::DatapathKind;
 pub use pool::ReactorPool;
 pub use reactor::{Reactor, ReactorConfig, ReactorStats, SessionHealth};
 pub use receiver::{HrmcReceiver, ReceiverHandle};
 pub use sender::{HrmcSender, SenderHandle};
 pub use session::{ReceiverBuilder, SenderBuilder, Session};
 pub use socket::{McastSocket, SocketBuffers};
-#[cfg(feature = "telemetry")]
 pub use telemetry::Telemetry;
 
 /// Errors surfaced by the socket drivers.

@@ -11,7 +11,7 @@
 //!
 //! Per-shard [`ReactorStats`] stay visible for debugging;
 //! [`ReactorPool::aggregate`] sums the counters and merges the
-//! histograms for telemetry, `hrmc top`, and the `datapath` bench row.
+//! histograms for telemetry and `hrmc top`.
 
 use std::collections::HashMap;
 use std::io;
@@ -21,7 +21,6 @@ use std::sync::{Arc, OnceLock};
 use hrmc_core::{Histogram, MetricsRegistry};
 use parking_lot::Mutex;
 
-use crate::datapath::DatapathKind;
 use crate::reactor::{
     publish_reactor_gauges, publish_session_gauges, Reactor, ReactorConfig, ReactorStats,
     SessionHealth,
@@ -50,8 +49,7 @@ impl ReactorPool {
     }
 
     /// Spawn `config.shards` reactors (at least one), each built with
-    /// this config — so the datapath choice (and its probe-fallback)
-    /// applies per shard.
+    /// this config.
     pub fn with_config(config: ReactorConfig) -> io::Result<ReactorPool> {
         let n = config.shards.max(1);
         let mut shards = Vec::with_capacity(n);
@@ -63,25 +61,19 @@ impl ReactorPool {
         })
     }
 
-    /// The process-wide pool for a `(width, datapath)` pair — what
-    /// `Session::…().reactor_threads(n).datapath(kind)` resolves to, so
-    /// every session asking for the same shape shares one set of
-    /// reactor threads (and its shard assignment) instead of spawning a
-    /// private fleet.
-    pub fn shared(shards: usize, datapath: DatapathKind) -> io::Result<ReactorPool> {
-        static POOLS: OnceLock<Mutex<HashMap<(usize, DatapathKind), ReactorPool>>> =
-            OnceLock::new();
+    /// The process-wide pool of `shards` reactor threads — what
+    /// `Session::…().reactor_threads(n)` resolves to, so every session
+    /// asking for the same width shares one set of reactor threads (and
+    /// its shard assignment) instead of spawning a private fleet.
+    pub fn shared(shards: usize) -> io::Result<ReactorPool> {
+        static POOLS: OnceLock<Mutex<HashMap<usize, ReactorPool>>> = OnceLock::new();
         let shards = shards.max(1);
         let mut pools = POOLS.get_or_init(Mutex::default).lock();
-        if let Some(pool) = pools.get(&(shards, datapath)) {
+        if let Some(pool) = pools.get(&shards) {
             return Ok(pool.clone());
         }
-        let pool = ReactorPool::with_config(ReactorConfig {
-            shards,
-            datapath,
-            ..ReactorConfig::default()
-        })?;
-        pools.insert((shards, datapath), pool.clone());
+        let pool = ReactorPool::new(shards)?;
+        pools.insert(shards, pool.clone());
         Ok(pool)
     }
 
@@ -144,7 +136,6 @@ impl ReactorPool {
         let (rx, tx, loop_us, slip) = self.merged_histograms();
         let mut agg = ReactorStats::default();
         for st in self.stats() {
-            agg.backend = st.backend;
             agg.sessions += st.sessions;
             agg.sessions_hwm += st.sessions_hwm;
             agg.epoll_wakeups += st.epoll_wakeups;
@@ -152,7 +143,6 @@ impl ReactorPool {
             agg.kicks += st.kicks;
             agg.recvmmsg_calls += st.recvmmsg_calls;
             agg.sendmmsg_calls += st.sendmmsg_calls;
-            agg.uring_enters += st.uring_enters;
             agg.packets_rx += st.packets_rx;
             agg.packets_tx += st.packets_tx;
             agg.tx_retries += st.tx_retries;
@@ -286,13 +276,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_publishes_shard_width_and_backend() {
+    fn pool_publishes_shard_width() {
         let pool = ReactorPool::new(3).expect("pool");
         let mut reg = MetricsRegistry::new();
         pool.publish_metrics(&mut reg);
         assert_eq!(reg.gauge("reactor_shards"), Some(3));
-        let backend = reg.gauge("datapath_backend");
-        assert!(backend == Some(0) || backend == Some(1));
         assert_eq!(reg.gauge("reactor_sessions"), Some(0));
     }
 }

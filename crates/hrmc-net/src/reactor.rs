@@ -44,13 +44,13 @@ use std::time::{Duration, Instant};
 use hrmc_core::{Histogram, MetricsRegistry};
 use parking_lot::Mutex;
 
-use crate::datapath::{make_datapath, Datapath, DatapathKind};
+use crate::datapath::{Datapath, EpollDatapath};
 use crate::socket::{McastSocket, RxBatch, SocketBuffers, TX_SLOTS};
 use crate::NetError;
 
 /// Sockets per session the token scheme supports (receiver = 2).
 const MAX_ROLES: u64 = 2;
-/// Readiness token of the kick eventfd (any backend).
+/// Readiness token of the kick eventfd.
 pub(crate) const KICK_TOKEN: u64 = u64::MAX;
 /// Attempts beyond the first before a transient `sendmmsg` error drops
 /// the remaining batch (mirrors the single-send retry budget).
@@ -65,10 +65,6 @@ pub struct ReactorConfig {
     /// kick is somehow lost). Smaller values trade idle CPU for
     /// responsiveness.
     pub idle_deadline_cap: Duration,
-    /// Which syscall backend drives the sockets. [`DatapathKind::Uring`]
-    /// falls back to epoll when the build or kernel lacks io_uring
-    /// support — [`ReactorStats::backend`] reports what actually runs.
-    pub datapath: DatapathKind,
     /// Reactor threads a [`crate::ReactorPool`] built from this config
     /// runs (sessions are hash-assigned per shard). A plain [`Reactor`]
     /// ignores this and always runs one thread.
@@ -79,7 +75,6 @@ impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
             idle_deadline_cap: Duration::from_millis(100),
-            datapath: DatapathKind::Epoll,
             shards: 1,
         }
     }
@@ -230,13 +225,13 @@ impl SessionCounters {
 // ---------------------------------------------------------------------
 
 /// Reusable I/O scratch owned by the reactor thread: the RX buffer
-/// pool, the TX staging area, and the [`Datapath`] backend everything
-/// crosses the kernel through — shared by every session so buffers are
+/// pool, the TX staging area, and the [`Datapath`] everything crosses
+/// the kernel through — shared by every session so buffers are
 /// allocated once per reactor, not per session.
 pub(crate) struct IoBatch {
     /// RX buffer pool; sessions read decoded datagrams from here.
     pub(crate) rx: RxBatch,
-    /// The syscall backend (epoll+mmsg or io_uring rings).
+    /// The syscall boundary (epoll + `recvmmsg`/`sendmmsg`).
     pub(crate) dp: Box<dyn Datapath>,
     /// Encoded-packet staging for the next TX submit.
     tx_bufs: Vec<Vec<u8>>,
@@ -257,8 +252,8 @@ impl IoBatch {
         }
     }
 
-    /// One backend drain into the pool; records batch-size stats. (The
-    /// backend counts its own syscalls; this layer counts packets.)
+    /// One datapath drain into the pool; records batch-size stats. (The
+    /// datapath counts its own syscalls; this layer counts packets.)
     pub(crate) fn recv(&mut self, sock: &McastSocket) -> io::Result<usize> {
         let n = self.dp.recv_batch(sock, &mut self.rx)?;
         let s = &self.stats;
@@ -293,13 +288,13 @@ impl IoBatch {
         }
     }
 
-    /// Flush every staged packet out `sock` in backend batches,
+    /// Flush every staged packet out `sock` in datapath batches,
     /// retrying transient kernel pressure (`EAGAIN`/`EINTR`/`ENOBUFS`)
     /// with the same short doubling backoff the single-send path used. A
     /// persistently failing datagram is dropped (the protocol's NAK path
     /// recovers it) without sacrificing the rest of the batch. Each
     /// attempt — success or transient failure — is a real kernel
-    /// crossing, counted by the backend itself.
+    /// crossing, counted by the datapath itself.
     pub(crate) fn flush_tx(&mut self, sock: &McastSocket) {
         let mut off = 0;
         let mut attempt = 0;
@@ -382,10 +377,9 @@ const EHOSTUNREACH: i32 = 113;
 // Stats
 // ---------------------------------------------------------------------
 
-/// The reactor's shared counter cells. Backends hold an `Arc` and bump
-/// the syscall counters (`recvmmsg_calls`/`sendmmsg_calls` for epoll,
-/// `uring_enters` for io_uring, `tx_retries`/`tx_drops` for deferred
-/// completion failures); the reactor side owns the rest.
+/// The reactor's shared counter cells. The datapath holds an `Arc` and
+/// bumps the syscall counters (`recvmmsg_calls`/`sendmmsg_calls`); the
+/// reactor side owns the rest.
 #[derive(Default)]
 pub(crate) struct StatsCells {
     pub(crate) sessions_hwm: AtomicU64,
@@ -394,7 +388,6 @@ pub(crate) struct StatsCells {
     pub(crate) kicks: AtomicU64,
     pub(crate) recvmmsg_calls: AtomicU64,
     pub(crate) sendmmsg_calls: AtomicU64,
-    pub(crate) uring_enters: AtomicU64,
     pub(crate) packets_rx: AtomicU64,
     pub(crate) packets_tx: AtomicU64,
     pub(crate) tx_retries: AtomicU64,
@@ -418,27 +411,25 @@ pub(crate) struct StatsCells {
 /// payoff — how many packets each `recvmmsg`/`sendmmsg` syscall moved.
 #[derive(Debug, Clone, Default)]
 pub struct ReactorStats {
-    /// The syscall backend actually driving this reactor: `"epoll"` or
-    /// `"uring"` (after any runtime fallback).
-    pub backend: &'static str,
     /// Sessions currently registered.
     pub sessions: usize,
     /// Most sessions ever registered at once.
     pub sessions_hwm: u64,
-    /// Readiness-wait returns (the loop's wakeup count; named for the
-    /// epoll backend, counted identically under io_uring).
+    /// `epoll_wait` returns (the loop's wakeup count).
     pub epoll_wakeups: u64,
     /// Engine deadlines serviced from the timer heap.
     pub timer_fires: u64,
     /// Deadline re-folds requested by application threads.
     pub kicks: u64,
-    /// `recvmmsg` syscalls issued (epoll backend).
+    /// `recvmmsg` syscalls issued.
     pub recvmmsg_calls: u64,
-    /// `sendmmsg` syscalls issued (epoll backend; every attempt counts,
-    /// including transiently failing ones that were retried).
+    /// `sendmmsg` syscalls issued (every attempt counts, including
+    /// transiently failing ones that were retried).
     pub sendmmsg_calls: u64,
-    /// `io_uring_enter` syscalls issued (uring backend) — the ring
-    /// replaces the wait+drain+flush syscall train with one enter.
+    /// Always 0: the io_uring datapath that counted `io_uring_enter`
+    /// calls here is gone. The field stays only because the `perfbench`
+    /// benchmark still adds it into its syscall count; drop it once
+    /// that benchmark no longer reads it.
     pub uring_enters: u64,
     /// Datagrams received.
     pub packets_rx: u64,
@@ -476,7 +467,7 @@ impl ReactorStats {
     /// divide-by-`max(1)` form quietly reported the raw syscall count
     /// in that state.
     pub fn syscalls_per_packet(&self) -> f64 {
-        let syscalls = self.recvmmsg_calls + self.sendmmsg_calls + self.uring_enters;
+        let syscalls = self.recvmmsg_calls + self.sendmmsg_calls;
         let packets = self.packets_rx + self.packets_tx;
         if packets == 0 {
             return 0.0;
@@ -490,16 +481,16 @@ impl ReactorStats {
 // ---------------------------------------------------------------------
 
 /// A socket-set change an application thread asks the reactor thread to
-/// apply. The datapath object lives on the reactor thread only (io_uring
-/// submission queues are single-producer), so registration and
-/// deregistration are queued here and drained at the top of each loop
-/// iteration — the kick eventfd bounds the latency.
+/// apply. The datapath lives on the reactor thread only, so registration
+/// and deregistration are queued here and drained at the top of each
+/// loop iteration — the kick eventfd bounds the latency.
 enum DpCmd {
     /// Watch the sockets of session `id` (already in the sessions map).
     Register { id: u64 },
-    /// Stop watching `fd`. The owning session's Arc rides along so a
-    /// backend with in-flight kernel operations can keep the fd alive
-    /// until they drain.
+    /// Stop watching `fd`. The owning session's Arc rides along and is
+    /// dropped only after `EPOLL_CTL_DEL` has run: were the socket closed
+    /// first, a newly registered socket could reuse its fd number, and
+    /// this DEL would remove that socket from the set instead.
     Deregister {
         fd: i32,
         keepalive: Arc<dyn ReactorSession>,
@@ -508,9 +499,6 @@ enum DpCmd {
 
 struct Core {
     wakefd: i32,
-    /// Backend actually running (after any io_uring→epoll fallback);
-    /// resolved before the reactor thread spawns.
-    backend: &'static str,
     config: ReactorConfig,
     sessions: Mutex<HashMap<u64, Arc<dyn ReactorSession>>>,
     dirty: Mutex<Vec<u64>>,
@@ -599,19 +587,15 @@ impl Reactor {
         Reactor::with_config(ReactorConfig::default())
     }
 
-    /// Spawn a dedicated reactor with explicit tunables. The datapath
-    /// backend is probed here, before the thread starts: an io_uring
-    /// request on a kernel (or build) without support falls back to
-    /// epoll, and [`Reactor::stats`] reports the backend that actually
-    /// runs.
+    /// Spawn a dedicated reactor with explicit tunables.
     pub fn with_config(config: ReactorConfig) -> io::Result<Reactor> {
         let wakefd = unsafe { libc::eventfd(0, libc::EFD_CLOEXEC | libc::EFD_NONBLOCK) };
         if wakefd < 0 {
             return Err(io::Error::last_os_error());
         }
         let stats = Arc::new(StatsCells::default());
-        let dp = match make_datapath(config.datapath, wakefd, Arc::clone(&stats)) {
-            Ok(dp) => dp,
+        let dp = match EpollDatapath::new(wakefd, Arc::clone(&stats)) {
+            Ok(dp) => Box::new(dp),
             Err(e) => {
                 unsafe { libc::close(wakefd) };
                 return Err(e);
@@ -619,7 +603,6 @@ impl Reactor {
         };
         let core = Arc::new(Core {
             wakefd,
-            backend: dp.backend(),
             config,
             sessions: Mutex::new(HashMap::new()),
             dirty: Mutex::new(Vec::new()),
@@ -671,7 +654,6 @@ impl Reactor {
         let loop_us = s.loop_us.lock();
         let slip = s.timer_slippage_us.lock();
         ReactorStats {
-            backend: self.core.backend,
             sessions: self.session_count(),
             sessions_hwm: s.sessions_hwm.load(Ordering::Relaxed),
             epoll_wakeups: s.epoll_wakeups.load(Ordering::Relaxed),
@@ -679,7 +661,7 @@ impl Reactor {
             kicks: s.kicks.load(Ordering::Relaxed),
             recvmmsg_calls: s.recvmmsg_calls.load(Ordering::Relaxed),
             sendmmsg_calls: s.sendmmsg_calls.load(Ordering::Relaxed),
-            uring_enters: s.uring_enters.load(Ordering::Relaxed),
+            uring_enters: 0,
             packets_rx: s.packets_rx.load(Ordering::Relaxed),
             packets_tx: s.packets_tx.load(Ordering::Relaxed),
             tx_retries: s.tx_retries.load(Ordering::Relaxed),
@@ -752,17 +734,14 @@ impl Reactor {
         Arc::clone(&self.core.stats)
     }
 
-    /// Register a session: its sockets are queued for the reactor
-    /// thread's datapath (nonblocking first, for the epoll backend —
-    /// io_uring keeps them blocking, since a nonblocking fd makes
-    /// `RECVMSG` complete `-EAGAIN` instead of arming an internal poll)
-    /// and its first deadline is folded into the timer heap. Returns
-    /// the session id and the [`ReactorRef`] the handle drives kicks
-    /// and deregistration through — deliberately *not* a full
-    /// [`Reactor`], so live sessions do not keep the reactor thread
-    /// alive past the last user-held handle. A socket the datapath
-    /// cannot watch surfaces asynchronously via
-    /// [`ReactorSession::on_fatal`].
+    /// Register a session: its sockets are switched to nonblocking and
+    /// queued for the reactor thread's datapath, and its first deadline
+    /// is folded into the timer heap. Returns the session id and the
+    /// [`ReactorRef`] the handle drives kicks and deregistration
+    /// through — deliberately *not* a full [`Reactor`], so live
+    /// sessions do not keep the reactor thread alive past the last
+    /// user-held handle. A socket the datapath cannot watch surfaces
+    /// asynchronously via [`ReactorSession::on_fatal`].
     pub(crate) fn register(
         &self,
         session: Arc<dyn ReactorSession>,
@@ -777,10 +756,8 @@ impl Reactor {
                 sockets.len() as u64 <= MAX_ROLES,
                 "too many session sockets"
             );
-            if self.core.backend == "epoll" {
-                for sock in &sockets {
-                    sock.set_nonblocking(true).map_err(NetError::Io)?;
-                }
+            for sock in &sockets {
+                sock.set_nonblocking(true).map_err(NetError::Io)?;
             }
         }
         {
@@ -835,10 +812,8 @@ impl std::fmt::Debug for Reactor {
 }
 
 /// Set the `reactor_*` gauges from a stats snapshot (a single reactor's
-/// or a pool aggregate). Backend identity is a numeric gauge — the
-/// exposition formats carry no strings: 0 = epoll, 1 = uring.
+/// or a pool aggregate).
 pub(crate) fn publish_reactor_gauges(reg: &mut MetricsRegistry, st: &ReactorStats, shards: u64) {
-    reg.set_gauge("datapath_backend", u64::from(st.backend == "uring"));
     reg.set_gauge("reactor_shards", shards);
     reg.set_gauge("reactor_sessions", st.sessions as u64);
     reg.set_gauge("reactor_sessions_hwm", st.sessions_hwm);
@@ -847,7 +822,6 @@ pub(crate) fn publish_reactor_gauges(reg: &mut MetricsRegistry, st: &ReactorStat
     reg.set_gauge("reactor_kicks", st.kicks);
     reg.set_gauge("reactor_recvmmsg_calls", st.recvmmsg_calls);
     reg.set_gauge("reactor_sendmmsg_calls", st.sendmmsg_calls);
-    reg.set_gauge("reactor_uring_enters", st.uring_enters);
     reg.set_gauge("reactor_packets_rx", st.packets_rx);
     reg.set_gauge("reactor_packets_tx", st.packets_tx);
     reg.set_gauge("reactor_tx_retries", st.tx_retries);
@@ -921,7 +895,7 @@ fn fold_deadline(
 }
 
 /// Apply queued socket-set changes on the reactor thread (the only
-/// thread allowed to touch the datapath). A registration the backend
+/// thread allowed to touch the datapath). A registration the datapath
 /// refuses fails the session asynchronously, mirroring what a fatal
 /// socket error during dispatch does.
 fn drain_dp_cmds(core: &Arc<Core>, io: &mut IoBatch, deadlines: &mut HashMap<u64, Instant>) {
@@ -939,7 +913,7 @@ fn drain_dp_cmds(core: &Arc<Core>, io: &mut IoBatch, deadlines: &mut HashMap<u64
                         if let Err(e) = io.dp.register(sock.raw_fd(), id * MAX_ROLES + role as u64)
                         {
                             for prior in &sockets[..role] {
-                                io.dp.deregister(prior.raw_fd(), Arc::clone(&session));
+                                io.dp.deregister(prior.raw_fd());
                             }
                             err = Some(e);
                             break;
@@ -952,7 +926,10 @@ fn drain_dp_cmds(core: &Arc<Core>, io: &mut IoBatch, deadlines: &mut HashMap<u64
                     session.on_fatal(Fatal::Io(e));
                 }
             }
-            DpCmd::Deregister { fd, keepalive } => io.dp.deregister(fd, keepalive),
+            DpCmd::Deregister { fd, keepalive } => {
+                io.dp.deregister(fd);
+                drop(keepalive); // only now may the socket close
+            }
         }
     }
 }
@@ -1060,7 +1037,7 @@ fn run(core: &Arc<Core>, dp: Box<dyn Datapath>) {
                     // surface the failure to the application.
                     core.sessions.lock().remove(&id);
                     for sock in session.sockets() {
-                        io.dp.deregister(sock.raw_fd(), Arc::clone(&session));
+                        io.dp.deregister(sock.raw_fd());
                     }
                     deadlines.remove(&id);
                     session.on_fatal(Fatal::Io(e));
@@ -1150,13 +1127,10 @@ mod tests {
     }
 
     impl Datapath for ScriptedDatapath {
-        fn backend(&self) -> &'static str {
-            "scripted"
-        }
         fn register(&mut self, _fd: i32, _token: u64) -> io::Result<()> {
             Ok(())
         }
-        fn deregister(&mut self, _fd: i32, _keepalive: Arc<dyn ReactorSession>) {}
+        fn deregister(&mut self, _fd: i32) {}
         fn wait(&mut self, _timeout_ms: i32, ready: &mut Vec<u64>) -> io::Result<()> {
             ready.clear();
             Ok(())
@@ -1184,9 +1158,10 @@ mod tests {
         McastSocket::sender(group, std::net::Ipv4Addr::LOCALHOST).expect("socket")
     }
 
-    /// Transient send failures re-invoke the backend — one `send_batch`
-    /// call per attempt, so a backend that counts per invocation (epoll
-    /// does) reports every real kernel crossing, not just the winners.
+    /// Transient send failures re-invoke the datapath — one
+    /// `send_batch` call per attempt, so a datapath that counts per
+    /// invocation (epoll does) reports every real kernel crossing, not
+    /// just the winners.
     #[test]
     fn flush_tx_reinvokes_backend_once_per_attempt() {
         let calls = Arc::new(AtomicU64::new(0));
@@ -1254,7 +1229,7 @@ mod tests {
         assert_eq!(stats.packets_tx.load(Ordering::Relaxed), 1);
     }
 
-    /// The epoll backend counts the syscall *before* the verdict: a
+    /// The epoll datapath counts the syscall *before* the verdict: a
     /// failing `sendmmsg` (here: destination port 0, `EINVAL`) is still
     /// a kernel crossing and must show up in `sendmmsg_calls` — the
     /// under-count that skewed `syscalls_per_packet` on lossy paths.
@@ -1263,7 +1238,7 @@ mod tests {
         let wakefd = unsafe { libc::eventfd(0, libc::EFD_NONBLOCK | libc::EFD_CLOEXEC) };
         assert!(wakefd >= 0);
         let stats = Arc::new(StatsCells::default());
-        let mut dp = crate::datapath::EpollDatapath::new(wakefd, Arc::clone(&stats)).expect("dp");
+        let mut dp = EpollDatapath::new(wakefd, Arc::clone(&stats)).expect("dp");
         let sock = loopback_sender();
         let good = SocketAddr::V4(std::net::SocketAddrV4::new(
             std::net::Ipv4Addr::LOCALHOST,

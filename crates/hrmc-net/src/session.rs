@@ -21,7 +21,6 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 
 use hrmc_core::{MultiObserver, ProtocolConfig, ProtocolObserver, SharedRecorder};
 
-use crate::datapath::DatapathKind;
 use crate::pool::ReactorPool;
 use crate::reactor::Reactor;
 use crate::receiver::{self, ReceiverHandle};
@@ -57,7 +56,6 @@ struct Common {
     reactor: Option<Reactor>,
     pool: Option<ReactorPool>,
     reactor_threads: Option<usize>,
-    datapath: Option<DatapathKind>,
 }
 
 impl Common {
@@ -71,7 +69,6 @@ impl Common {
             reactor: None,
             pool: None,
             reactor_threads: None,
-            datapath: None,
         }
     }
 
@@ -80,21 +77,15 @@ impl Common {
     ///
     /// Reactor resolution, most specific first: an explicit
     /// [`Reactor`], the group's shard of an explicit [`ReactorPool`],
-    /// the shared pool for the requested `(reactor_threads, datapath)`
-    /// shape, the process-wide [`Reactor::global`].
+    /// the shared pool of the requested `reactor_threads` width, the
+    /// process-wide [`Reactor::global`].
     fn finish(self, flight_label: &str) -> Result<Resolved, NetError> {
         let group = self.group;
-        let reactor = match (self.reactor, self.pool) {
-            (Some(r), _) => r,
-            (None, Some(pool)) => pool.shard_for(group).clone(),
-            (None, None) if self.reactor_threads.is_some() || self.datapath.is_some() => {
-                let pool = ReactorPool::shared(
-                    self.reactor_threads.unwrap_or(1),
-                    self.datapath.unwrap_or_default(),
-                )?;
-                pool.shard_for(group).clone()
-            }
-            (None, None) => Reactor::global(),
+        let reactor = match (self.reactor, self.pool, self.reactor_threads) {
+            (Some(r), _, _) => r,
+            (None, Some(pool), _) => pool.shard_for(group).clone(),
+            (None, None, Some(n)) => ReactorPool::shared(n)?.shard_for(group).clone(),
+            (None, None, None) => Reactor::global(),
         };
         let flight = self
             .flight_capacity
@@ -170,8 +161,8 @@ macro_rules! builder_options {
             /// Drive the session from a specific reactor instead of the
             /// process-wide [`Reactor::global`] — useful to shard very
             /// large session counts across threads, or to isolate tests.
-            /// Takes precedence over [`Self::reactor_pool`],
-            /// [`Self::reactor_threads`], and [`Self::datapath`].
+            /// Takes precedence over [`Self::reactor_pool`] and
+            /// [`Self::reactor_threads`].
             pub fn reactor(mut self, reactor: Reactor) -> Self {
                 self.common.reactor = Some(reactor);
                 self
@@ -194,20 +185,9 @@ macro_rules! builder_options {
                 self
             }
 
-            /// Which syscall backend drives the session's sockets
-            /// (default [`crate::DatapathKind::Epoll`]).
-            /// [`crate::DatapathKind::Uring`] probes the kernel at
-            /// reactor startup and falls back to epoll when io_uring is
-            /// unavailable.
-            pub fn datapath(mut self, kind: crate::DatapathKind) -> Self {
-                self.common.datapath = Some(kind);
-                self
-            }
-
             /// Feed this session's protocol events into a running
             /// [`crate::Telemetry`] pipeline (shorthand for
             /// `.observer(telemetry.observer())`).
-            #[cfg(feature = "telemetry")]
             pub fn telemetry(mut self, telemetry: &crate::Telemetry) -> Self {
                 self.common.observers.push(telemetry.observer());
                 self

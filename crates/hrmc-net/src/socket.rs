@@ -250,13 +250,13 @@ pub const TX_SLOTS: usize = 16;
 const RX_BUF: usize = 64 * 1024;
 /// Per-slot control buffer, in `u64` words (cmsg alignment): room for
 /// the one ancillary item sessions enable, the `SO_RXQ_OVFL` count.
-pub(crate) const RX_CTRL_WORDS: usize =
+const RX_CTRL_WORDS: usize =
     libc::CMSG_SPACE(std::mem::size_of::<u32>() as libc::c_uint) as usize / 8;
 
 /// The socket's cumulative kernel drop count carried by a received
 /// message's `SO_RXQ_OVFL` item. The kernel attaches it only once the
 /// count is nonzero, so `None` means "no drops yet" on a prepared socket.
-pub(crate) fn rxq_ovfl(msg: &libc::msghdr) -> Option<u32> {
+fn rxq_ovfl(msg: &libc::msghdr) -> Option<u32> {
     // SAFETY: `msg` was filled by the kernel; its control fields describe
     // the slot's control buffer, and the walk stays inside it.
     unsafe {
@@ -294,7 +294,7 @@ const EMPTY_MMSGHDR: libc::mmsghdr = libc::mmsghdr {
     msg_len: 0,
 };
 
-pub(crate) fn sockaddr_in_of(addr: SocketAddr) -> io::Result<libc::sockaddr_in> {
+fn sockaddr_in_of(addr: SocketAddr) -> io::Result<libc::sockaddr_in> {
     match addr {
         SocketAddr::V4(a) => Ok(libc::sockaddr_in {
             sin_family: libc::AF_INET as libc::sa_family_t,
@@ -378,37 +378,6 @@ impl RxBatch {
         }
         self.count = n;
         Ok(n)
-    }
-
-    /// Reset the batch to empty. Datapath backends that fill the pool
-    /// from completion queues (rather than one `recvmmsg`) start here.
-    #[cfg(feature = "uring")]
-    pub(crate) fn clear(&mut self) {
-        self.count = 0;
-        self.drops = None;
-    }
-
-    /// Append one received datagram (payload, raw source address, and
-    /// the `SO_RXQ_OVFL` count its message carried) to the batch — the
-    /// completion-queue analog of a `recvmmsg` slot. Returns `false`
-    /// when the pool is full ([`RX_SLOTS`] datagrams).
-    #[cfg(feature = "uring")]
-    pub(crate) fn push(
-        &mut self,
-        payload: &[u8],
-        name: libc::sockaddr_in,
-        drops: Option<u32>,
-    ) -> bool {
-        if self.count == RX_SLOTS {
-            return false;
-        }
-        let i = self.count;
-        self.bufs[i][..payload.len()].copy_from_slice(payload);
-        self.names[i] = name;
-        self.lens[i] = payload.len();
-        self.count += 1;
-        self.drops = drops.or(self.drops);
-        true
     }
 
     /// The socket's cumulative kernel drop count as of the newest

@@ -3,8 +3,6 @@
 //! the pool as one logical reactor whose counters are exactly the sum
 //! of the per-shard snapshots.
 
-#![cfg(feature = "telemetry")]
-
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 use std::time::Duration;
 
@@ -154,7 +152,6 @@ fn thirty_two_sessions_across_two_shards() {
         ("hrmc_reactor_packets_rx", agg.packets_rx),
         ("hrmc_reactor_packets_tx", agg.packets_tx),
         ("hrmc_reactor_shards", 2),
-        ("hrmc_datapath_backend", 0),
     ] {
         assert!(
             metrics.lines().any(|l| l == format!("{name} {sum}")),
@@ -162,6 +159,5 @@ fn thirty_two_sessions_across_two_shards() {
         );
     }
     let json = scrape(addr, "/json", timeout).expect("scrape /json");
-    assert!(json.contains("\"backend\":\"epoll\""), "{json}");
     assert!(json.contains("\"shards\":2"), "{json}");
 }

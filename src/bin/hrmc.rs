@@ -42,7 +42,6 @@ struct Opts {
     health: bool,
     once: bool,
     refresh_ms: u64,
-    datapath: hrmc::net::DatapathKind,
     reactor_threads: usize,
 }
 
@@ -66,7 +65,6 @@ impl Default for Opts {
             health: false,
             once: false,
             refresh_ms: 1000,
-            datapath: hrmc::net::DatapathKind::Epoll,
             reactor_threads: 1,
         }
     }
@@ -103,8 +101,8 @@ struct Obs {
     /// sampling thread plus an HTTP endpoint serving `/metrics`
     /// (Prometheus text) and `/json` — watch it live with `hrmc top`.
     telemetry: Option<hrmc::net::Telemetry>,
-    /// The reactor pool behind `--datapath` / `--reactor-threads`;
-    /// `None` means every session rides the default global reactor.
+    /// The reactor pool behind `--reactor-threads`; `None` means every
+    /// session rides the default global reactor.
     pool: Option<hrmc::net::ReactorPool>,
 }
 
@@ -121,16 +119,10 @@ impl Obs {
             None => None,
         };
         let metrics = opts.metrics.then(MetricsObserver::new);
-        let pool = if opts.reactor_threads > 1 || opts.datapath != hrmc::net::DatapathKind::Epoll {
-            let pool = hrmc::net::ReactorPool::shared(opts.reactor_threads, opts.datapath)
+        let pool = if opts.reactor_threads > 1 {
+            let pool = hrmc::net::ReactorPool::shared(opts.reactor_threads)
                 .map_err(|e| format!("cannot start the reactor pool: {e}"))?;
-            // The probe may have fallen back (kernel without io_uring):
-            // report what actually runs, not what was asked for.
-            eprintln!(
-                "datapath: {} backend, {} reactor thread(s)",
-                pool.aggregate().backend,
-                pool.shards()
-            );
+            eprintln!("reactor: {} thread(s)", pool.shards());
             Some(pool)
         } else {
             None
@@ -281,10 +273,6 @@ fn usage() -> ! {
                            --telemetry): streaming invariant checks raise\n                    \
                            structured alerts on /alerts, in /json, and as\n                    \
                            hrmc_alerts_* metrics on /metrics\n  \
-         --datapath <epoll|uring>  reactor I/O backend (default epoll); uring\n                    \
-                           needs a kernel with io_uring and a build with\n                    \
-                           --features uring, else it falls back to epoll\n                    \
-                           (the chosen backend is printed on stderr)\n  \
          --reactor-threads N  shard sessions across N reactor threads\n                    \
                            (default 1); telemetry aggregates all shards\n\n\
          `top` renders a refreshing terminal dashboard from a live telemetry\n\
@@ -396,13 +384,6 @@ fn parse(args: &[String]) -> (Opts, Vec<String>) {
             "--health" => {
                 opts.health = true;
             }
-            "--datapath" => {
-                i += 1;
-                opts.datapath = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
             "--reactor-threads" => {
                 i += 1;
                 opts.reactor_threads = args
@@ -439,7 +420,7 @@ fn config(opts: &Opts) -> ProtocolConfig {
 }
 
 /// Print the kernel buffers the session sockets were granted (stderr,
-/// beside the `datapath:` line), with a warning naming the sysctl when
+/// beside the `reactor:` line), with a warning naming the sysctl when
 /// the kernel granted less than the protocol window asked for.
 fn report_buffers(b: hrmc::net::SocketBuffers) {
     eprintln!(

@@ -141,12 +141,12 @@ pub fn render_endpoint_frame(endpoint: &str, body: &Value) -> String {
     let mut out = String::with_capacity(1024);
     let _ = writeln!(out, "hrmc top — {endpoint}\n");
     if let Some(r) = body.get("reactor") {
-        // Endpoints predating the pluggable datapath omit backend and
-        // shards; render the single-reactor epoll shape they had.
+        // Endpoints predating the reactor pool omit shards: they ran one
+        // reactor. Recordings made while a second datapath existed also
+        // carry a "backend" key, which is ignored.
         let _ = writeln!(
             out,
-            "reactor  backend {} ×{}  sessions {}  syscalls/pkt {}  loop p99 {}µs  timer slip p99 {}µs  idle cap {}ms",
-            r.get("backend").and_then(Value::as_str).unwrap_or("epoll"),
+            "reactor  shards {}  sessions {}  syscalls/pkt {}  loop p99 {}µs  timer slip p99 {}µs  idle cap {}ms",
             r.get("shards").and_then(Value::as_u64).unwrap_or(1),
             r.get("sessions").and_then(Value::as_u64).unwrap_or(0),
             r.get("syscalls_per_packet")
@@ -374,14 +374,14 @@ mod tests {
              \"sessions\":[{\"id\":1,\"role\":\"sender\",\"packets_rx\":7,\"packets_tx\":150,\
              \"bytes_rx\":700,\"bytes_tx\":210000,\"kernel_drops\":3,\
              \"rcvbuf_bytes\":1048576,\"sndbuf_bytes\":1048576}],\
-             \"reactor\":{\"backend\":\"uring\",\"shards\":4,\"sessions\":1,\
+             \"reactor\":{\"shards\":4,\"sessions\":1,\
              \"syscalls_per_packet\":0.1441,\"loop_p99_us\":63,\
              \"timer_slippage_p99_us\":127,\"idle_cap_ms\":100}}",
         )
         .unwrap();
         let frame = render_endpoint_frame("127.0.0.1:9000", &body);
         assert!(frame.contains("hrmc top — 127.0.0.1:9000"));
-        assert!(frame.contains("backend uring ×4"));
+        assert!(frame.contains("reactor  shards 4  sessions 1"), "{frame}");
         assert!(frame.contains("syscalls/pkt 0.1441"));
         assert!(frame.contains("loop p99 63µs"));
         assert!(frame.contains("sender"));
@@ -451,14 +451,27 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_frame_defaults_backend_for_old_recordings() {
-        let body: Value = serde_json::from_str(
-            "{\"sample\":null,\"reactor\":{\"sessions\":2,\"syscalls_per_packet\":0.2,\
-             \"loop_p99_us\":1,\"timer_slippage_p99_us\":2,\"idle_cap_ms\":100}}",
-        )
-        .unwrap();
-        let frame = render_endpoint_frame("x", &body);
-        assert!(frame.contains("backend epoll ×1"), "{frame}");
+    fn endpoint_frame_renders_old_recordings_with_a_backend() {
+        // Recordings from builds with a second datapath name it in the
+        // reactor section, and older ones predate shards; both render.
+        for (reactor, want) in [
+            (
+                "\"backend\":\"uring\",\"shards\":4,",
+                "reactor  shards 4  sessions 2",
+            ),
+            ("", "reactor  shards 1  sessions 2"),
+        ] {
+            let body: Value = serde_json::from_str(&format!(
+                "{{\"sample\":null,\"reactor\":{{{reactor}\"sessions\":2,\
+                 \"syscalls_per_packet\":0.2,\"loop_p99_us\":1,\
+                 \"timer_slippage_p99_us\":2,\"idle_cap_ms\":100}}}}"
+            ))
+            .unwrap();
+            let frame = render_endpoint_frame("x", &body);
+            assert!(frame.contains(want), "{frame}");
+            assert!(frame.contains("syscalls/pkt 0.2000"), "{frame}");
+            assert!(!frame.contains("backend"), "{frame}");
+        }
     }
 
     #[test]
